@@ -29,6 +29,7 @@ from .linalg import (
     DenseMatrix,
     SvdResult,
     condition_number,
+    condition_numbers,
     frame_operator,
     gram_matrix,
     operator_norm,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, rng
-from .errors import ConfigInvalid, FramelabError
+from .errors import ConfigInvalid, FramelabError, NonFiniteEntry
 from .frames import (
     Frame,
     RECON,
@@ -152,6 +153,8 @@ def _coerce(param: Param, value, where: str):
         if kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError
+            if not math.isfinite(value):
+                raise ValueError
             return float(value)
         if kind == "bool":
             if not isinstance(value, bool):
@@ -268,6 +271,8 @@ def _validate_ranges(command: str, params: dict):
 # --------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise NonFiniteEntry(f"non-finite value {x!r} in CSV output")
     return format(float(x), ".17g")
 
 
@@ -286,8 +291,16 @@ def _write_atomic(path: str, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _dumps(obj, **kwargs) -> str:
+    """Standard JSON only: a NaN or Inf anywhere in ``obj`` is a numerical error."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteEntry(f"non-finite value in JSON output: {exc}") from exc
+
+
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    return (_dumps(obj, indent=2) + "\n").encode()
 
 
 _EREPORT_FIELDS = ("n", "M", "keep_prob", "trials", "mean_error", "stderr",
@@ -338,7 +351,7 @@ def _run_construct(cfg: ExperimentConfig):
         f = renormalize(f, norm)
     digest = _write_atomic(cfg.output, _json_bytes(f.to_json_dict()))
     return {cfg.output: digest}, {"n": f.n, "M": f.M, "kind": f.kind,
-                                  "normalization": f.normalization}
+                                  "normalization": f.normalization}, {}
 
 
 def _run_erasure(cfg: ExperimentConfig):
@@ -352,7 +365,7 @@ def _run_erasure(cfg: ExperimentConfig):
     digest = _write_atomic(cfg.output, _erasure_csv([report]))
     return {cfg.output: digest}, {"mean_error": report.mean_error,
                                   "ratio": report.ratio,
-                                  "renormalized": renormalized}
+                                  "renormalized": renormalized}, {}
 
 
 def _run_sweep(cfg: ExperimentConfig):
@@ -360,23 +373,29 @@ def _run_sweep(cfg: ExperimentConfig):
     reports = redundancy_sweep(p["n"], p["M_list"], p["trials"], cfg.seed,
                                p["keep_prob"])
     digest = _write_atomic(cfg.output, _erasure_csv(reports))
-    return {cfg.output: digest}, {"mean_errors": [r.mean_error for r in reports]}
+    return {cfg.output: digest}, {"mean_errors": [r.mean_error for r in reports]}, {}
 
 
 def _run_ner(cfg: ExperimentConfig):
     p = cfg.params
     f = _load_frame(p["frame"])
+    start = time.perf_counter()
     if p.get("C") is not None:
         result = certify(f, C=p["C"], K=p["K"], mode=p["mode"],
                          samples=p["samples"], seed=cfg.seed or 0)
+        cert = result.certificate
         doc = {"passed": result.passed, "required_cond": result.required_cond,
-               "certificate": result.certificate.to_json_dict()}
+               "certificate": cert.to_json_dict()}
     else:
         cert = worst_condition(f, p["K"], mode=p["mode"], samples=p["samples"],
                                seed=cfg.seed or 0)
         doc = {"certificate": cert.to_json_dict()}
+    scan_s = time.perf_counter() - start
+    # stdout only: the certificate file stays byte-identical across reruns
+    counters = {"subsets_examined": cert.subsets_examined,
+                "subsets_per_s": cert.subsets_examined / scan_s}
     digest = _write_atomic(cfg.output, _json_bytes(doc))
-    return {cfg.output: digest}, doc
+    return {cfg.output: digest}, doc, counters
 
 
 def _run_rudelson(cfg: ExperimentConfig):
@@ -388,7 +407,7 @@ def _run_rudelson(cfg: ExperimentConfig):
     outputs = {}
     if cfg.output:
         outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, doc
+    return outputs, doc, {}
 
 
 def _run_khintchine(cfg: ExperimentConfig):
@@ -403,7 +422,7 @@ def _run_khintchine(cfg: ExperimentConfig):
     outputs = {}
     if cfg.output:
         outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, doc
+    return outputs, doc, {}
 
 
 def _run_probe(cfg: ExperimentConfig):
@@ -440,7 +459,7 @@ def _run_probe(cfg: ExperimentConfig):
     }
     digest = _write_atomic(cfg.output, _json_bytes(doc))
     return {cfg.output: digest}, {"rel_error": round_.rel_error,
-                                  "concentration_ratio": conc.ratio}
+                                  "concentration_ratio": conc.ratio}, {}
 
 
 def _run_stirling(cfg: ExperimentConfig):
@@ -452,7 +471,7 @@ def _run_stirling(cfg: ExperimentConfig):
     outputs = {}
     if cfg.output:
         outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, {"m_max": doc["m_max"], "all_hold": doc["all_hold"]}
+    return outputs, {"m_max": doc["m_max"], "all_hold": doc["all_hold"]}, {}
 
 
 _RUNNERS = {
@@ -468,9 +487,13 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Execute one validated command and return its manifest."""
+    """Execute one validated command and return its manifest.
+
+    ``counters`` reports the work done (for ``ner``: subsets examined and
+    the scan rate); it is empty for commands that report none yet.
+    """
     start = time.monotonic()
-    outputs, result = _RUNNERS[cfg.command](cfg)
+    outputs, result, counters = _RUNNERS[cfg.command](cfg)
     return {
         "command": cfg.command,
         "config": cfg.echo(),
@@ -478,6 +501,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "duration_seconds": time.monotonic() - start,
         "outputs": outputs,
         "result": result,
+        "counters": counters,
     }
 
 
@@ -580,20 +604,18 @@ def main(argv=None) -> int:
     try:
         cfg = validate(_merge_config(args))
     except ConfigInvalid as exc:
-        print(json.dumps({"error": "ConfigInvalid", "detail": str(exc),
-                          "field": exc.field}, sort_keys=True))
+        print(_dumps({"error": "ConfigInvalid", "detail": str(exc), "field": exc.field}))
         return 2
     try:
-        manifest = run(cfg)
+        manifest = _dumps(run(cfg))
     except ConfigInvalid as exc:
-        print(json.dumps({"error": "ConfigInvalid", "detail": str(exc),
-                          "field": exc.field}, sort_keys=True))
+        print(_dumps({"error": "ConfigInvalid", "detail": str(exc), "field": exc.field}))
         return 2
     except FramelabError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc),
-                          "config": cfg.echo()}, sort_keys=True))
+        print(_dumps({"error": type(exc).__name__, "detail": str(exc),
+                      "config": cfg.echo()}))
         return 3
-    print(json.dumps(manifest, sort_keys=True))
+    print(manifest)
     return 0
 
 

@@ -42,12 +42,15 @@ class DenseMatrix:
 
     ``mode`` is ``"real"`` exactly when the storage dtype is real, so the
     invariant "real mode implies zero imaginary parts" holds structurally.
+    Entries are finite: NaN or Inf raises :class:`NonFiniteEntry`, so every
+    frame and every matrix read from a file is finite from construction on.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
         a = _canonical_array(self.data)
+        _require_finite(a)
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "data", a)
@@ -95,6 +98,7 @@ class DenseMatrix:
             raise ValueError(f"entries length {len(entries)} != rows*cols = {rows * cols}")
         re = np.array([e[0] for e in entries], dtype=np.float64)
         im = np.array([e[1] for e in entries], dtype=np.float64)
+        _require_finite(im)  # a NaN imaginary part is non-finite, not a mode error
         if mode == REAL:
             if np.any(im != 0.0):
                 raise ValueError("real-mode matrix has nonzero imaginary entries")
@@ -162,19 +166,38 @@ def schatten_norm(m, p: float) -> float:
     return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
 
 
+def condition_numbers(stack) -> np.ndarray:
+    """Condition numbers of a (B, r, c) stack of matrices, one batched SVD.
+
+    Entry b is sigma_max / sigma_min of ``stack[b]``, or ``inf`` where
+    sigma_min <= RANK_TOL * sigma_max (numerically rank deficient, the zero
+    matrix included).  Rank is decided on singular values, never on squared
+    Gram eigenvalues, so ``RANK_TOL`` keeps its full resolution.  Each matrix
+    gets the same LAPACK call as it would alone, so a value does not depend
+    on the stack it was computed in.
+    """
+    a = np.asarray(stack)
+    if a.ndim != 3 or 0 in a.shape[1:]:
+        raise ShapeMismatch(f"expected a (B, r, c) stack with r, c >= 1, got {a.shape}")
+    _require_finite(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    smax, smin = s[:, 0], s[:, -1]
+    deficient = smin <= RANK_TOL * smax
+    return np.divide(smax, smin, out=np.full(len(s), np.inf), where=~deficient)
+
+
 def condition_number(m) -> float:
     """Ratio of largest to smallest singular value.
 
     Raises :class:`RankDeficient` when sigma_min <= RANK_TOL * sigma_max,
     so effectively singular inputs surface as errors rather than huge floats.
     """
-    s = singular_values(m)
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= RANK_TOL * smax:
+    c = float(condition_numbers(as_array(m)[None])[0])
+    if c == np.inf:
         raise RankDeficient(
-            f"matrix is numerically rank deficient (sigma_min={smin:.3e}, sigma_max={smax:.3e})"
+            f"matrix is numerically rank deficient (sigma_min <= {RANK_TOL:g} * sigma_max)"
         )
-    return smax / smin
+    return c
 
 
 def frame_operator(m) -> np.ndarray:

@@ -6,6 +6,20 @@ number at most C.  At desk scale the worst case is found by exhaustive
 enumeration of all C(N, K) subsets; above the enumeration budget a
 sampled mode reports a certified lower bound on the worst case instead.
 
+Both modes share one chunked scan.  Subsets are taken in fixed chunks (in
+lexicographic order, or in draw order from one ``SUBSETS`` substream), each
+chunk is gathered as a (B, n, K) block, and ``linalg.condition_numbers``
+reduces it with one batched SVD.  Every matrix of the block gets the same
+LAPACK call as a lone ``condition_number`` would, so the certificates are
+bit-identical to a per-subset scan and do not depend on the chunk size.  The
+scan keeps the per-subset contracts:
+
+* rank is decided on singular values at ``RANK_TOL``, and the first
+  rank-deficient subset in scan order is raised by ``submatrix_condition``;
+* the lexicographically smallest maximizer wins, across chunks too;
+* NaN cannot reach the ``RANK_TOL`` comparison: a ``Frame`` is checked for
+  finiteness once, when it is built, and the kernel checks each block.
+
 ``min_cond_bound`` inverts the admissibility inequality
 
     p <= 1/2 - C**2 / (C**4 + 1)
@@ -18,17 +32,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+
+import numpy as np
 
 from . import rng
 from .errors import BudgetExceeded, OutOfRange, RankDeficient
 from .frames import Frame
-from .linalg import condition_number
+from .linalg import condition_number, condition_numbers
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
 
 EXHAUSTIVE_BUDGET = 10**6
+
+# Subsets per batched SVD.  Larger chunks buy little speed and cost memory:
+# an ETF(21,5) K=15 scan peaks at 30.3 MB with one subset per chunk, 30.9 MB
+# at 512, 31.7 MB at 1024 and 36.6 MB at 4096 (NumPy 2.4, OpenBLAS 0.3.31).
+_SCAN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -78,6 +99,29 @@ def submatrix_condition(f: Frame, subset) -> float:
         ) from exc
 
 
+def _scan(f: Frame, subsets) -> tuple[float, tuple[int, ...]]:
+    """Worst condition number over ``subsets``, sorted index tuples in scan order.
+
+    Each chunk of ``_SCAN_CHUNK`` subsets is gathered as one (B, n, K) block
+    and reduced with one batched SVD.  The first rank-deficient subset in
+    scan order is raised through :func:`submatrix_condition`; among the
+    maximizers the lexicographically smallest wins, across chunks too.
+    """
+    a = f.array
+    worst, worst_subset = -math.inf, ()
+    subsets = iter(subsets)
+    while chunk := list(islice(subsets, _SCAN_CHUNK)):
+        conds = condition_numbers(np.moveaxis(a[:, np.array(chunk)], 1, 0))
+        deficient = np.flatnonzero(conds == math.inf)
+        if deficient.size:
+            submatrix_condition(f, chunk[deficient[0]])
+        top = float(conds.max())
+        best = min(chunk[i] for i in np.flatnonzero(conds == top))
+        if top > worst or (top == worst and best < worst_subset):
+            worst, worst_subset = top, best
+    return worst, worst_subset
+
+
 def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
                     samples: int = 0, seed: int = 0) -> NerCertificate:
     """Worst condition number over size-K column subsets.
@@ -85,42 +129,32 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     Exhaustive mode enumerates all C(N, K) subsets in lexicographic order
     (the reported worst subset is the lexicographically smallest maximizer);
     sampled mode takes the max over ``samples`` uniform subsets, a lower
-    bound on the true worst case.
+    bound on the true worst case, drawn one after another from a single
+    ``SUBSETS`` substream.
     """
     N = f.M
     if not f.n <= K <= N:
         raise OutOfRange(f"need n <= K <= N, got K={K}, n={f.n}, N={N}")
-    p = 1.0 - K / N
     if mode == EXHAUSTIVE:
         count = math.comb(N, K)
         if count > EXHAUSTIVE_BUDGET:
             raise BudgetExceeded(
                 f"C({N},{K}) = {count} subsets exceeds budget {EXHAUSTIVE_BUDGET}"
             )
-        worst = -math.inf
-        worst_subset: tuple[int, ...] = ()
-        for subset in combinations(range(N), K):
-            c = submatrix_condition(f, subset)
-            if c > worst:
-                worst, worst_subset = c, subset
-        return NerCertificate(N=N, K=K, p=p, worst_cond=worst,
-                              worst_subset=worst_subset, mode=EXHAUSTIVE,
-                              subsets_examined=count)
-    if mode == SAMPLED:
+        subsets = combinations(range(N), K)
+    elif mode == SAMPLED:
         if samples < 1:
             raise OutOfRange("sampled mode needs samples >= 1")
         stream = rng.substream(seed, rng.SUBSETS)
-        worst = -math.inf
-        worst_subset = ()
-        for _ in range(samples):
-            subset = tuple(sorted(stream.choice(N, size=K, replace=False).tolist()))
-            c = submatrix_condition(f, subset)
-            if c > worst or (c == worst and subset < worst_subset):
-                worst, worst_subset = c, subset
-        return NerCertificate(N=N, K=K, p=p, worst_cond=worst,
-                              worst_subset=worst_subset, mode=SAMPLED,
-                              subsets_examined=samples)
-    raise OutOfRange(f"unknown mode {mode!r}")
+        count = samples
+        subsets = (tuple(sorted(stream.choice(N, size=K, replace=False).tolist()))
+                   for _ in range(samples))
+    else:
+        raise OutOfRange(f"unknown mode {mode!r}")
+    worst, worst_subset = _scan(f, subsets)
+    return NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
+                          worst_subset=worst_subset, mode=mode,
+                          subsets_examined=count)
 
 
 def min_cond_bound(p: float) -> float:

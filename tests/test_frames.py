@@ -12,6 +12,7 @@ from framelab import (
     DifferenceSet,
     Frame,
     InvalidRowSet,
+    NonFiniteEntry,
     NoSuchSet,
     OutOfRange,
     check_tight,
@@ -272,6 +273,13 @@ def test_frame_alpha():
     assert scaled_onb_frame(2, 2).alpha == pytest.approx(0.25)
     f = difference_set_etf(find_difference_set(7, 3))  # unit normalized
     assert f.alpha == pytest.approx(3.0 / 7.0)
+
+
+def test_frame_rejects_nonfinite_entries():
+    doc = harmonic_frame(2, 4).to_json_dict()
+    doc["matrix"]["entries"][0] = [float("nan"), 0.0]
+    with pytest.raises(NonFiniteEntry):
+        Frame.from_json_dict(doc)
 
 
 def test_frame_rejects_wrong_norms():

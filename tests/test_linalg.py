@@ -12,6 +12,7 @@ from framelab import (
     RankDeficient,
     ShapeMismatch,
     condition_number,
+    condition_numbers,
     difference_set_etf,
     find_difference_set,
     frame_operator,
@@ -214,6 +215,29 @@ def test_condition_scale_invariant(seed, c):
     assert math.isclose(base, scaled, rel_tol=1e-10)
 
 
+def test_condition_numbers_match_one_matrix_calls():
+    # bit-identical: each matrix of the stack gets the same LAPACK call
+    stack = np.stack([random_matrix(s, 3, 6, complex_mode=True) for s in range(9)])
+    batched = condition_numbers(stack)
+    assert batched.shape == (9,)
+    assert [float(c) for c in batched] == [condition_number(m) for m in stack]
+
+
+def test_condition_numbers_inf_where_rank_deficient():
+    stack = np.stack([np.diag([4.0, 2.0]), np.ones((2, 2)), np.zeros((2, 2)),
+                      np.diag([1.0, 1e-13])])
+    assert condition_numbers(stack).tolist() == [2.0, math.inf, math.inf, math.inf]
+
+
+def test_condition_numbers_rejects_nonfinite_and_bad_shapes():
+    with pytest.raises(NonFiniteEntry):
+        condition_numbers(np.array([[[1.0, np.nan], [0.0, 1.0]]]))
+    with pytest.raises(ShapeMismatch):
+        condition_numbers(np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        condition_numbers(np.zeros((3, 0, 2)))
+
+
 # ---------------------------------------------------------------------------
 # frame operator
 # ---------------------------------------------------------------------------
@@ -269,6 +293,16 @@ def test_dense_matrix_json_roundtrip_complex():
     m = DenseMatrix(np.array([[1.0 + 2.0j, 0.0], [0.0, -1.0j]]))
     back = DenseMatrix.from_json_dict(m.to_json_dict())
     assert np.array_equal(back.data, m.data)
+
+
+def test_dense_matrix_rejects_nonfinite():
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(NonFiniteEntry):
+            DenseMatrix(np.array([[1.0, bad], [0.0, 1.0]]))
+    good = DenseMatrix(np.eye(2)).to_json_dict()
+    for entry in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(NonFiniteEntry):
+            DenseMatrix.from_json_dict(dict(good, entries=[entry] + good["entries"][1:]))
 
 
 def test_dense_matrix_json_rejects_bad_input():

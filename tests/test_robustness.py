@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import robustness, rng
 from framelab import (
     BudgetExceeded,
     DenseMatrix,
@@ -44,6 +45,27 @@ def gram_condition_oracle(v, subset):
         g = sub.conj().T @ sub
     lam = np.linalg.eigvalsh(g)
     return math.sqrt(lam[-1] / lam[0])
+
+
+def sampled_draws(seed, N, K, samples):
+    """The subsets sampled mode examines, in draw order."""
+    stream = rng.substream(seed, rng.SUBSETS)
+    return [tuple(sorted(stream.choice(N, size=K, replace=False).tolist()))
+            for _ in range(samples)]
+
+
+def per_subset_scan(f, K, mode="exhaustive", samples=0, seed=0):
+    """Reference for the batched scan: one submatrix_condition call per subset."""
+    if mode == "exhaustive":
+        subsets = combinations(range(f.M), K)
+    else:
+        subsets = sampled_draws(seed, f.M, K, samples)
+    worst, worst_subset = -math.inf, ()
+    for subset in subsets:
+        c = submatrix_condition(f, subset)
+        if c > worst or (c == worst and subset < worst_subset):
+            worst, worst_subset = c, subset
+    return worst, worst_subset
 
 
 def exhaustive_oracle(f, K):
@@ -183,6 +205,101 @@ def test_worst_subset_is_lex_smallest_maximizer(etf37):
     assert maximizers
     assert cert.worst_subset == min(maximizers)
     assert cert.worst_subset == tuple(sorted(cert.worst_subset))
+
+
+# ---------------------------------------------------------------------------
+# the chunked batched scan
+# ---------------------------------------------------------------------------
+
+def repeated_column_frame():
+    """Three directions in the plane, four identical copies of each.
+
+    Equal submatrices give bit-equal condition numbers, so the worst case
+    is attained by several subsets: (j, 4, 5, 6, 7) for j = 0..3.
+    """
+    cols = [[math.cos(t), math.sin(t)] for t in (0.0, 0.4, 1.3) for _ in range(4)]
+    return Frame(n=2, M=12, vectors=DenseMatrix(np.array(cols).T), normalization="unit")
+
+
+def duplicate_pair_frame():
+    """40 distinct unit vectors in the plane, except columns 26 == 25 and 33 == 32.
+
+    With K = 2 the rank-deficient subsets are (25, 26), at lexicographic
+    position 675, and (32, 33); every other pair is well conditioned.
+    """
+    angles = np.pi * np.arange(40) / 40
+    angles[26], angles[33] = angles[25], angles[32]
+    cols = np.stack([np.cos(angles), np.sin(angles)])
+    return Frame(n=2, M=40, vectors=DenseMatrix(cols), normalization="unit")
+
+
+@pytest.fixture(scope="module")
+def etf413_reference(etf413):
+    return {"exhaustive": per_subset_scan(etf413, 8),
+            "sampled": per_subset_scan(etf413, 8, "sampled", samples=400, seed=3)}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, robustness._SCAN_CHUNK])
+def test_batched_scan_equals_per_subset_scan(monkeypatch, etf413, etf413_reference, chunk):
+    # bit-identical, not approximately equal, at every chunk size
+    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    exhaustive = worst_condition(etf413, 8)
+    sampled = worst_condition(etf413, 8, mode="sampled", samples=400, seed=3)
+    assert (exhaustive.worst_cond, exhaustive.worst_subset) == etf413_reference["exhaustive"]
+    assert (sampled.worst_cond, sampled.worst_subset) == etf413_reference["sampled"]
+    assert exhaustive.subsets_examined == 1287
+    assert sampled.subsets_examined == 400
+
+
+def test_sampled_certificate_unchanged_by_batching(etf413):
+    # recorded from the per-subset implementation the batched scan replaced
+    cert = worst_condition(etf413, 8, mode="sampled", samples=300, seed=7)
+    assert cert.worst_cond == 1.9901176587402822
+    assert cert.worst_subset == (1, 2, 4, 5, 6, 8, 9, 10)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, robustness._SCAN_CHUNK])
+def test_exhaustive_repeated_columns_lex_smallest_maximizer(monkeypatch, chunk):
+    f = repeated_column_frame()
+    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    cert = worst_condition(f, 5)
+    maximizers = [s for s in combinations(range(12), 5)
+                  if submatrix_condition(f, s) == cert.worst_cond]
+    assert maximizers == [(j, 4, 5, 6, 7) for j in range(4)]
+    assert cert.worst_subset == (0, 4, 5, 6, 7)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_sampled_repeated_columns_tie_across_chunks(monkeypatch, chunk):
+    f = repeated_column_frame()
+    worst, _ = per_subset_scan(f, 5)
+    draws = sampled_draws(38, 12, 5, 200)
+    hits = [i for i, s in enumerate(draws) if submatrix_condition(f, s) == worst]
+    # the tie spans chunks, and a later chunk holds the smaller subset
+    assert hits[0] // chunk < hits[-1] // chunk
+    assert draws[hits[0]] > draws[hits[-1]] == (0, 4, 5, 6, 7)
+    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    cert = worst_condition(f, 5, mode="sampled", samples=200, seed=38)
+    assert cert.worst_cond == worst
+    assert cert.worst_subset == (0, 4, 5, 6, 7)
+
+
+@pytest.mark.parametrize("chunk", [7, robustness._SCAN_CHUNK])
+def test_certify_reports_first_rank_deficient_subset_past_first_chunk(monkeypatch, chunk):
+    f = duplicate_pair_frame()
+    assert list(combinations(range(40), 2)).index((25, 26)) >= chunk
+    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    result = certify(f, C=1e6, K=2)
+    assert not result.passed
+    assert math.isinf(result.certificate.worst_cond)
+    assert result.certificate.worst_subset == (25, 26)
+    # sampled mode reports the first rank-deficient subset in draw order
+    draws = sampled_draws(2, 40, 2, 2000)
+    first = next(i for i, s in enumerate(draws) if s in ((25, 26), (32, 33)))
+    assert first >= chunk
+    result = certify(f, C=1e6, K=2, mode="sampled", samples=2000, seed=2)
+    assert not result.passed
+    assert result.certificate.worst_subset == draws[first]
 
 
 # ---------------------------------------------------------------------------
