@@ -33,6 +33,7 @@ from .linalg import (
     frame_operator,
     gram_matrix,
     operator_norm,
+    operator_norms,
     schatten_norm,
     singular_values,
     svd_values,

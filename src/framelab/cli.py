@@ -325,6 +325,15 @@ def _load_json(path: str):
         raise ConfigInvalid(f"cannot read JSON file {path}: {exc}", field=path)
 
 
+def _per_s(count: int, seconds: float) -> float:
+    return count / seconds if seconds > 0 else 0.0
+
+
+def _trial_counters(trials: int, seconds: float) -> dict:
+    # stdout only: output files carry no timing, so reruns stay byte-identical
+    return {"trials": trials, "trials_per_s": _per_s(trials, seconds)}
+
+
 def _load_frame(path: str) -> Frame:
     try:
         return Frame.from_json_dict(_load_json(path))
@@ -361,19 +370,25 @@ def _run_erasure(cfg: ExperimentConfig):
     if renormalized:
         f = renormalize(f, RECON)
     x = deterministic_unit_vector(f.n, cfg.seed)
+    start = time.perf_counter()
     report = mc_error_estimate(f, x, p["trials"], cfg.seed, p["keep_prob"])
+    counters = _trial_counters(report.trials, time.perf_counter() - start)
     digest = _write_atomic(cfg.output, _erasure_csv([report]))
     return {cfg.output: digest}, {"mean_error": report.mean_error,
                                   "ratio": report.ratio,
-                                  "renormalized": renormalized}, {}
+                                  "renormalized": renormalized}, counters
 
 
 def _run_sweep(cfg: ExperimentConfig):
     p = cfg.params
+    start = time.perf_counter()
     reports = redundancy_sweep(p["n"], p["M_list"], p["trials"], cfg.seed,
                                p["keep_prob"])
+    counters = _trial_counters(sum(r.trials for r in reports),
+                               time.perf_counter() - start)
     digest = _write_atomic(cfg.output, _erasure_csv(reports))
-    return {cfg.output: digest}, {"mean_errors": [r.mean_error for r in reports]}, {}
+    return ({cfg.output: digest}, {"mean_errors": [r.mean_error for r in reports]},
+            counters)
 
 
 def _run_ner(cfg: ExperimentConfig):
@@ -393,7 +408,7 @@ def _run_ner(cfg: ExperimentConfig):
     scan_s = time.perf_counter() - start
     # stdout only: the certificate file stays byte-identical across reruns
     counters = {"subsets_examined": cert.subsets_examined,
-                "subsets_per_s": cert.subsets_examined / scan_s}
+                "subsets_per_s": _per_s(cert.subsets_examined, scan_s)}
     digest = _write_atomic(cfg.output, _json_bytes(doc))
     return {cfg.output: digest}, doc, counters
 
@@ -402,12 +417,14 @@ def _run_rudelson(cfg: ExperimentConfig):
     p = cfg.params
     f = _load_frame(p["frame"])
     ens = SignEnsemble(count=f.M, exact=False, trials=p["trials"], seed=cfg.seed)
+    start = time.perf_counter()
     est = rudelson_check(f, ens)
+    counters = _trial_counters(est.trials, time.perf_counter() - start)
     doc = est.to_json_dict()
     outputs = {}
     if cfg.output:
         outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, doc, {}
+    return outputs, doc, counters
 
 
 def _run_khintchine(cfg: ExperimentConfig):
@@ -417,12 +434,15 @@ def _run_khintchine(cfg: ExperimentConfig):
     )
     ens = SignEnsemble(count=p["count"], exact=p["exact"],
                        trials=p["trials"], seed=cfg.seed)
+    start = time.perf_counter()
     est = khintchine_check(family, p["m"], ens)
+    seconds = time.perf_counter() - start
+    counters = {} if est.exact else _trial_counters(est.trials, seconds)
     doc = est.to_json_dict()
     outputs = {}
     if cfg.output:
         outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, doc, {}
+    return outputs, doc, counters
 
 
 def _run_probe(cfg: ExperimentConfig):
@@ -443,7 +463,9 @@ def _run_probe(cfg: ExperimentConfig):
     x = rng.substream(cfg.seed, rng.PROBE).integers(0, 2, size=n) * 2.0 - 1.0
     iso = check_scaled_isometry(regroup(family))
     round_ = probe_roundtrip(family, lam, x, cond_limit=p["cond_limit"])
+    start = time.perf_counter()
     conc = concentration_estimate(regroup(family), p["dist"], p["trials"], cfg.seed)
+    counters = _trial_counters(conc.trials, time.perf_counter() - start)
     doc = {
         "n": n,
         "family": p["family"],
@@ -459,7 +481,7 @@ def _run_probe(cfg: ExperimentConfig):
     }
     digest = _write_atomic(cfg.output, _json_bytes(doc))
     return {cfg.output: digest}, {"rel_error": round_.rel_error,
-                                  "concentration_ratio": conc.ratio}, {}
+                                  "concentration_ratio": conc.ratio}, counters
 
 
 def _run_stirling(cfg: ExperimentConfig):
@@ -489,8 +511,10 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> dict:
     """Execute one validated command and return its manifest.
 
-    ``counters`` reports the work done (for ``ner``: subsets examined and
-    the scan rate); it is empty for commands that report none yet.
+    ``counters`` reports the work done: subsets examined and the scan rate
+    for ``ner``; Monte Carlo trials and the trial rate for ``erasure``,
+    ``sweep``, ``rudelson``, ``khintchine`` (Monte Carlo mode) and ``probe``
+    (its concentration estimate).  It is empty for the other commands.
     """
     start = time.monotonic()
     outputs, result, counters = _RUNNERS[cfg.command](cfg)

@@ -17,7 +17,12 @@ reported as the dimensionless ratio mean_error / (epsilon * ||x||).
 Two estimators are provided: exact enumeration of all 2^M equiprobable
 masks (M <= 20), and seeded Monte Carlo whose per-trial masks are drawn
 from independent (seed, trial) substreams so results do not depend on
-evaluation order.
+evaluation order.  The Monte Carlo trials are evaluated in blocks (see
+``rng.trial_ranges``): each block's masks are stacked and reconstructed by
+one stacked (B, 1, M) @ (M, 2n) real-view matmul, and each error is a stacked
+dot product.  Each trial gets the same BLAS calls whatever block it lands in,
+so a trial's error is bit-identical across block sizes; against a per-trial
+loop it moves only by rounding (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -138,14 +143,28 @@ def per_trial_errors(f: Frame, x, trials: int, seed: int,
         raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {f.n}")
     if trials < 1:
         raise OutOfRange(f"trials must be >= 1, got {trials}")
+    if not 0.0 < keep_prob <= 1.0:
+        raise InvalidProbability(f"keep_prob must be in (0, 1], got {keep_prob}")
     x = np.asarray(x)
     b = _contributions(f, x, keep_prob)
+    # real views: a complex row of length n is a real row of length 2n
+    cols = _real_view(np.ascontiguousarray(b.T))        # (M, n or 2n)
     errors = np.empty(trials)
-    for t in range(trials):
-        mask = sample_mask(f.M, keep_prob, rng.substream(seed, rng.MASK, t))
-        y = b[:, mask.kept].sum(axis=1)
-        errors[t] = np.linalg.norm(x - y)
+    M = f.M
+    # scratch per trial: the mask as bool and as float64, y and x - y
+    for start, stop in rng.trial_ranges(trials, 9 * M + 32 * f.n):
+        kept = rng.trial_rows(seed, rng.MASK, start, stop,
+                              lambda s: s.random(M) < keep_prob)
+        y = (kept.astype(np.float64)[:, None, :] @ cols)[:, 0, :]
+        if np.iscomplexobj(b):
+            y = y.view(np.complex128)
+        d = _real_view(x - y)
+        errors[start:stop] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     return errors
+
+
+def _real_view(a: np.ndarray) -> np.ndarray:
+    return a.view(np.float64) if np.iscomplexobj(a) else a
 
 
 def mc_error_estimate(f: Frame, x, trials: int, seed: int,

@@ -16,12 +16,14 @@ class InvalidExponent(FramelabError):
 class RankDeficient(FramelabError):
     """Smallest singular value is below the rank threshold.
 
-    Carries the offending column subset when raised during submatrix scans.
+    Carries the offending column subset when raised during submatrix scans,
+    and ``examined``, the number of subsets scanned up to and including it.
     """
 
-    def __init__(self, message, subset=None):
+    def __init__(self, message, subset=None, examined=None):
         super().__init__(message)
         self.subset = subset
+        self.examined = examined
 
 
 class ShapeMismatch(FramelabError):

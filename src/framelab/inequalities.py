@@ -21,6 +21,14 @@ Two classical bounds are estimated over random sign vectors
 Small instances are enumerated exactly over all 2^count sign patterns;
 larger ones are estimated by seeded Monte Carlo.  The related factorial
 bound (2m)!/(2^m m!) <= sqrt(2) (2/e)^m m^m is checked in the log domain.
+
+Monte Carlo trials are evaluated in blocks (see ``rng.trial_ranges``).  Trial
+t draws its signs from its own ``SIGNS`` substream whatever its block; the
+block's sums are then reduced together: the rank-one sums sum_i eps_i z_i z_i*
+are Hermitian, so ``linalg.operator_norms`` takes their top eigenvalue
+magnitude, and the Khintchine power sum_j sigma_j^(2m) comes from one batched
+SVD per block.  The estimates move only by rounding (about 1e-15 relative)
+against a per-trial loop.
 """
 
 from __future__ import annotations
@@ -33,11 +41,12 @@ import numpy as np
 from . import rng
 from .errors import (
     InvalidDimension,
+    NonFiniteEntry,
     OutOfRange,
     ShapeMismatch,
     TooLarge,
 )
-from .linalg import as_array, operator_norm, singular_values
+from .linalg import as_array, operator_norm, operator_norms, singular_values
 
 _ENUM_LIMIT = 20
 _ENUM_CHUNK = 1 << 11
@@ -63,9 +72,18 @@ class SignEnsemble:
         elif self.trials < 1:
             raise OutOfRange("Monte Carlo mode needs trials >= 1")
 
-    def sign_vector(self, trial: int) -> np.ndarray:
-        stream = rng.substream(self.seed, rng.SIGNS, trial)
-        return stream.integers(0, 2, size=self.count) * 2.0 - 1.0
+    def signs(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, count) sign rows; trial t draws from its own substream."""
+        count = self.count
+        return rng.trial_rows(self.seed, rng.SIGNS, start, stop,
+                              lambda s: s.integers(0, 2, size=count) * 2.0 - 1.0)
+
+    def mc_values(self, row_bytes: int, kernel) -> np.ndarray:
+        """kernel(signs) over all trials, one block of sign rows at a time."""
+        values = np.empty(self.trials)
+        for start, stop in rng.trial_ranges(self.trials, row_bytes):
+            values[start:stop] = kernel(self.signs(start, stop))
+        return values
 
 
 @dataclass(frozen=True)
@@ -134,13 +152,16 @@ def exact_sign_expectation(summands, functional) -> float:
 def sign_mc_expectation(summands, functional, trials: int, seed: int):
     """Monte Carlo mean and standard error of functional(sum_j eps_j S_j)."""
     stack = _stack(summands)
-    count = stack.shape[0]
+    count, shape = stack.shape[0], stack.shape[1:]
     flat = stack.reshape(count, -1)
     ens = SignEnsemble(count=count, exact=False, trials=trials, seed=seed)
-    values = np.empty(trials)
-    for t in range(trials):
-        signs = ens.sign_vector(t)
-        values[t] = functional((signs @ flat).reshape(stack.shape[1:]))
+    return _mean_stderr(ens.mc_values(
+        2 * flat.nbytes // count,
+        lambda signs: [functional(a) for a in (signs @ flat).reshape(-1, *shape)]))
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    trials = len(values)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
@@ -150,6 +171,14 @@ def _schatten_power(a: np.ndarray, m: int) -> float:
     """sum_j sigma_j(a)^(2m)."""
     s = singular_values(a)
     return float(np.sum(s ** (2 * m)))
+
+
+def _schatten_powers(stack: np.ndarray, m: int) -> np.ndarray:
+    """sum_j sigma_j^(2m) of each matrix in a (B, r, c) stack, one batched SVD."""
+    if not np.all(np.isfinite(stack)):
+        raise NonFiniteEntry("matrix contains NaN or Inf entries")
+    s = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(s ** (2 * m), axis=1)
 
 
 def _psd_half_schatten(s: np.ndarray, m: int) -> float:
@@ -174,13 +203,15 @@ def khintchine_check(matrices, m: int, ensemble: SignEnsemble) -> InequalityEsti
         raise ShapeMismatch(
             f"ensemble.count = {ensemble.count} != number of matrices {stack.shape[0]}"
         )
-    power = lambda a: _schatten_power(a, m)
     if ensemble.exact:
-        mean_pow = exact_sign_expectation(stack, power)
+        mean_pow = exact_sign_expectation(stack, lambda a: _schatten_power(a, m))
         lhs = mean_pow ** (1.0 / (2 * m))
         lhs_stderr, trials = 0.0, 1 << stack.shape[0]
     else:
-        mean_pow, se_pow = sign_mc_expectation(stack, power, ensemble.trials, ensemble.seed)
+        flat = stack.reshape(len(stack), -1)
+        mean_pow, se_pow = _mean_stderr(ensemble.mc_values(
+            3 * flat.nbytes // len(stack),
+            lambda signs: _schatten_powers((signs @ flat).reshape(-1, *stack.shape[1:]), m)))
         lhs = mean_pow ** (1.0 / (2 * m))
         lhs_stderr = se_pow * lhs / (2 * m * mean_pow) if mean_pow > 0 else 0.0
         trials = ensemble.trials
@@ -212,15 +243,10 @@ def rudelson_check(vectors, ensemble: SignEnsemble) -> InequalityEstimate:
         lhs = exact_sign_expectation(summands, operator_norm)
         lhs_stderr, trials = 0.0, 1 << M
     else:
-        values = np.empty(ensemble.trials)
-        for t in range(ensemble.trials):
-            signs = ensemble.sign_vector(t)
-            values[t] = operator_norm((v * signs[None, :]) @ v.conj().T)
-        lhs = float(np.mean(values))
-        lhs_stderr = (
-            float(np.std(values, ddof=1) / math.sqrt(ensemble.trials))
-            if ensemble.trials > 1 else 0.0
-        )
+        vh = v.conj().T
+        lhs, lhs_stderr = _mean_stderr(ensemble.mc_values(
+            (n * M + 3 * n * n) * v.itemsize,
+            lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True)))
         trials = ensemble.trials
     max_norm = float(np.max(np.linalg.norm(v, axis=0)))
     rhs = math.sqrt(math.log(n)) * max_norm * math.sqrt(operator_norm(v @ v.conj().T))

@@ -3,7 +3,10 @@
 Everything downstream (frame construction, erasure simulation, robustness
 certificates, sign-inequality estimates) funnels through the handful of
 SVD-backed quantities defined here: singular values, operator and Schatten
-norms, condition numbers, and frame/Gram operators.
+norms, condition numbers, and frame/Gram operators.  Two stack kernels serve
+the batched callers: ``condition_numbers`` (one batched SVD, for rank
+decisions) and ``operator_norms`` (one batched Hermitian eigensolve, for the
+top singular values the Monte Carlo estimators need).
 
 A single matrix carrier covers both fields: real matrices are stored as
 float64, complex ones as complex128, and the ``mode`` flag is derived from
@@ -93,17 +96,31 @@ class DenseMatrix:
             raise ValueError("rows and cols must be positive integers")
         if mode not in (REAL, COMPLEX):
             raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-        entries = obj["entries"]
-        if len(entries) != rows * cols:
-            raise ValueError(f"entries length {len(entries)} != rows*cols = {rows * cols}")
-        re = np.array([e[0] for e in entries], dtype=np.float64)
-        im = np.array([e[1] for e in entries], dtype=np.float64)
+        re, im = _entry_pairs(obj["entries"], rows * cols)
         _require_finite(im)  # a NaN imaginary part is non-finite, not a mode error
         if mode == REAL:
             if np.any(im != 0.0):
                 raise ValueError("real-mode matrix has nonzero imaginary entries")
             return cls(re.reshape(rows, cols))
         return cls((re + 1j * im).reshape(rows, cols))
+
+
+def _entry_pairs(entries, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``count`` JSON ``[re, im]`` pairs of real numbers."""
+    message = "entries must be a list of [re, im] pairs of real numbers"
+    if not isinstance(entries, list):
+        raise ValueError(message)
+    if len(entries) != count:
+        raise ValueError(f"entries length {len(entries)} != rows*cols = {count}")
+    try:
+        if set(map(len, entries)) == {2}:
+            re = np.array([e[0] for e in entries])
+            im = np.array([e[1] for e in entries])
+            if re.ndim == im.ndim == 1 and re.dtype.kind in "iuf" and im.dtype.kind in "iuf":
+                return re.astype(np.float64), im.astype(np.float64)
+    except (TypeError, KeyError, ValueError) as exc:  # a bare number, nested lists
+        raise ValueError(message) from exc
+    raise ValueError(message)
 
 
 def as_array(m) -> np.ndarray:
@@ -166,6 +183,32 @@ def schatten_norm(m, p: float) -> float:
     return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
 
 
+def _finite_stack(stack) -> np.ndarray:
+    a = np.asarray(stack)
+    if a.ndim != 3 or 0 in a.shape[1:]:
+        raise ShapeMismatch(f"expected a (B, r, c) stack with r, c >= 1, got {a.shape}")
+    _require_finite(a)
+    return a
+
+
+def operator_norms(stack, hermitian: bool = False) -> np.ndarray:
+    """Largest singular value of each matrix in a (B, r, c) stack.
+
+    Hermitian stacks (the caller vouches; only the lower triangle is read)
+    take max(-lambda_min, lambda_max) from ``eigvalsh``.  Other stacks take
+    sqrt(lambda_max) of the Gram matrix on the smaller side, which keeps the
+    top singular value to rounding level; rank decisions, which need the
+    small singular values, stay on :func:`condition_numbers`.
+    """
+    a = _finite_stack(stack)
+    if hermitian:
+        lam = np.linalg.eigvalsh(a)
+        return np.maximum(-lam[:, 0], lam[:, -1])
+    ah = a.conj().swapaxes(1, 2)
+    gram = ah @ a if a.shape[2] <= a.shape[1] else a @ ah
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
 def condition_numbers(stack) -> np.ndarray:
     """Condition numbers of a (B, r, c) stack of matrices, one batched SVD.
 
@@ -176,11 +219,7 @@ def condition_numbers(stack) -> np.ndarray:
     gets the same LAPACK call as it would alone, so a value does not depend
     on the stack it was computed in.
     """
-    a = np.asarray(stack)
-    if a.ndim != 3 or 0 in a.shape[1:]:
-        raise ShapeMismatch(f"expected a (B, r, c) stack with r, c >= 1, got {a.shape}")
-    _require_finite(a)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(_finite_stack(stack), compute_uv=False)
     smax, smin = s[:, 0], s[:, -1]
     deficient = smin <= RANK_TOL * smax
     return np.divide(smax, smin, out=np.full(len(s), np.inf), where=~deficient)

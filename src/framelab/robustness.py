@@ -104,17 +104,24 @@ def _scan(f: Frame, subsets) -> tuple[float, tuple[int, ...]]:
 
     Each chunk of ``_SCAN_CHUNK`` subsets is gathered as one (B, n, K) block
     and reduced with one batched SVD.  The first rank-deficient subset in
-    scan order is raised through :func:`submatrix_condition`; among the
+    scan order is raised through :func:`submatrix_condition`, with the number
+    of subsets scanned up to and including it as ``examined``; among the
     maximizers the lexicographically smallest wins, across chunks too.
     """
     a = f.array
     worst, worst_subset = -math.inf, ()
+    examined = 0
     subsets = iter(subsets)
     while chunk := list(islice(subsets, _SCAN_CHUNK)):
         conds = condition_numbers(np.moveaxis(a[:, np.array(chunk)], 1, 0))
         deficient = np.flatnonzero(conds == math.inf)
         if deficient.size:
-            submatrix_condition(f, chunk[deficient[0]])
+            try:
+                submatrix_condition(f, chunk[deficient[0]])
+            except RankDeficient as exc:
+                exc.examined = examined + int(deficient[0]) + 1
+                raise
+        examined += len(chunk)
         top = float(conds.max())
         best = min(chunk[i] for i in np.flatnonzero(conds == top))
         if top > worst or (top == worst and best < worst_subset):
@@ -175,7 +182,8 @@ def certify(f: Frame, C: float, p: float | None = None, K: int | None = None,
 
     Exhaustive certificates are definitive; sampled ones only mean "not
     refuted".  A rank-deficient submatrix fails the certificate with an
-    infinite worst condition number at the offending subset.
+    infinite worst condition number at the offending subset; its
+    ``subsets_examined`` counts the subsets scanned up to and including it.
     """
     N = f.M
     if (p is None) == (K is None):
@@ -189,7 +197,8 @@ def certify(f: Frame, C: float, p: float | None = None, K: int | None = None,
     except RankDeficient as exc:
         cert = NerCertificate(
             N=N, K=K, p=1.0 - K / N, worst_cond=math.inf,
-            worst_subset=exc.subset or (), mode=mode, subsets_examined=0,
+            worst_subset=exc.subset or (), mode=mode,
+            subsets_examined=exc.examined or 0,
         )
         return CertifyResult(passed=False, required_cond=float(C), certificate=cert)
     return CertifyResult(passed=bool(cert.worst_cond <= C),

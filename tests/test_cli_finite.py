@@ -1,10 +1,11 @@
-"""CLI exit contract for non-finite values, and the ner work counters."""
+"""CLI exit contract for non-finite and malformed input, and the work counters."""
 
 import json
 
+import numpy as np
 import pytest
 
-from framelab import harmonic_frame
+from framelab import DenseMatrix, Frame, harmonic_frame
 from framelab.cli import main
 
 
@@ -76,3 +77,77 @@ def test_ner_counters_on_stdout_only(tmp_path, capsys):
         certs.append((tmp_path / name).read_bytes())
     assert certs[0] == certs[1]
     assert "counters" not in json.loads(certs[0])
+
+
+@pytest.mark.parametrize("entries", [
+    "one-number entry",
+    7,
+    "string entry",
+    "entry of three numbers",
+])
+def test_malformed_frame_entries_exit_2(tmp_path, capsys, entries):
+    doc = harmonic_frame(2, 6).to_json_dict()
+    if entries == "one-number entry":
+        doc["matrix"]["entries"][3] = [1.0]
+    elif entries == "string entry":
+        doc["matrix"]["entries"][3] = ["1.0", 0.0]
+    elif entries == "entry of three numbers":
+        doc["matrix"]["entries"] = [e + [0.0] for e in doc["matrix"]["entries"]]
+    else:
+        doc["matrix"]["entries"] = entries
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code, result = run_cli(capsys, "ner", "--frame", bad, "--K", 3, "--json", out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert "[re, im] pairs" in result["detail"]
+    assert not out.exists()
+
+
+def test_refuted_certificate_counters(tmp_path, capsys):
+    cols = np.array([[1.0, 1.0, 0.0, 0.6], [0.0, 0.0, 1.0, 0.8]])
+    frame = tmp_path / "dup.json"
+    frame.write_text(json.dumps(Frame(n=2, M=4, vectors=DenseMatrix(cols),
+                                      normalization="unit").to_json_dict()))
+    out = tmp_path / "cert.json"
+    code, manifest = run_cli(capsys, "ner", "--frame", frame, "--K", 2, "--C", 5,
+                             "--json", out)
+    assert code == 0
+    assert manifest["result"]["passed"] is False
+    # (0, 1) is the first subset in lexicographic order, and deficient
+    assert manifest["counters"]["subsets_examined"] == 1
+    assert json.loads(out.read_text())["certificate"]["subsets_examined"] == 1
+
+
+@pytest.mark.parametrize("argv, trials", [
+    (("erasure", "--frame", "FRAME", "--trials", 30, "--seed", 1, "--csv", "OUT"), 30),
+    (("sweep", "--n", 4, "--M-list", "8,16", "--trials", 20, "--seed", 1,
+      "--csv", "OUT"), 40),
+    (("rudelson", "--frame", "FRAME", "--trials", 25, "--seed", 1, "--json", "OUT"), 25),
+    (("khintchine", "--m", 2, "--count", 4, "--dim", 3, "--trials", 35, "--seed", 1,
+      "--json", "OUT"), 35),
+    (("probe", "--n", 5, "--trials", 45, "--seed", 1, "--cond-limit", 1e12,
+      "--json", "OUT"), 45),
+])
+def test_monte_carlo_trial_counters_on_stdout_only(tmp_path, capsys, argv, trials):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(harmonic_frame(4, 12).to_json_dict()))
+    outputs = []
+    for name in ("a.out", "b.out"):
+        args = [frame if a == "FRAME" else tmp_path / name if a == "OUT" else a
+                for a in argv]
+        code, manifest = run_cli(capsys, *args)
+        assert code == 0
+        assert manifest["counters"]["trials"] == trials
+        assert manifest["counters"]["trials_per_s"] > 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"trials_per_s" not in outputs[0]
+
+
+def test_exact_khintchine_reports_no_trial_counters(tmp_path, capsys):
+    code, manifest = run_cli(capsys, "khintchine", "--m", 2, "--count", 4, "--dim", 3,
+                             "--exact", "--seed", 1, "--json", tmp_path / "k.json")
+    assert code == 0
+    assert manifest["counters"] == {}

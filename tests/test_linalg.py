@@ -18,6 +18,7 @@ from framelab import (
     frame_operator,
     harmonic_frame,
     operator_norm,
+    operator_norms,
     scaled_onb_frame,
     schatten_norm,
     singular_values,
@@ -238,6 +239,50 @@ def test_condition_numbers_rejects_nonfinite_and_bad_shapes():
         condition_numbers(np.zeros((3, 0, 2)))
 
 
+def svd_top(stack):
+    return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in stack])
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 6), (6, 3), (5, 5)])
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_operator_norms_match_per_matrix_svd(rows, cols, complex_mode):
+    stack = np.stack([random_matrix(s, rows, cols, complex_mode) for s in range(12)])
+    got = operator_norms(stack)
+    assert got.shape == (12,)
+    assert np.allclose(got, svd_top(stack), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_operator_norms_hermitian_match_per_matrix_svd(complex_mode):
+    # indefinite Hermitian stacks: the norm is max(-lambda_min, lambda_max)
+    a = np.stack([random_matrix(s, 5, 5, complex_mode) for s in range(12)])
+    herm = a + a.conj().swapaxes(1, 2)
+    herm[0] = -np.diag([5.0, 1.0, 0.0, 0.0, 2.0])   # the negative end wins
+    expected = svd_top(herm)
+    assert expected[0] == 5.0
+    assert np.allclose(operator_norms(herm, hermitian=True), expected, rtol=1e-13, atol=0.0)
+    assert np.allclose(operator_norms(herm), expected, rtol=1e-13, atol=0.0)
+
+
+def test_operator_norms_zero_and_rank_deficient():
+    z = np.array([1.0, -2.0, 0.5])
+    stack = np.stack([np.zeros((3, 3)), np.outer(z, z), np.outer(z, [1.0, 1.0, 0.0])])
+    assert operator_norms(stack)[0] == 0.0
+    assert operator_norms(stack[:1], hermitian=True)[0] == 0.0
+    assert np.allclose(operator_norms(stack), svd_top(stack), rtol=1e-13, atol=0.0)
+    assert operator_norms(stack[1:2], hermitian=True)[0] == pytest.approx(z @ z, rel=1e-13)
+
+
+def test_operator_norms_rejects_nonfinite_and_bad_shapes():
+    for hermitian in (False, True):
+        with pytest.raises(NonFiniteEntry):
+            operator_norms(np.array([[[1.0, np.nan], [np.nan, 1.0]]]), hermitian=hermitian)
+        with pytest.raises(ShapeMismatch):
+            operator_norms(np.eye(2), hermitian=hermitian)
+        with pytest.raises(ShapeMismatch):
+            operator_norms(np.zeros((3, 0, 2)), hermitian=hermitian)
+
+
 # ---------------------------------------------------------------------------
 # frame operator
 # ---------------------------------------------------------------------------
@@ -319,3 +364,24 @@ def test_dense_matrix_json_rejects_bad_input():
     bad["extra"] = 1
     with pytest.raises(ValueError):
         DenseMatrix.from_json_dict(bad)
+
+
+@pytest.mark.parametrize("entries", [
+    7, "entries", {"0": [1.0, 0.0]}, None,
+    [[1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],         # ragged
+    [[1.0], [0.0], [0.0], [1.0]],                         # one number each
+    [[1.0, 0.0, 0.0]] * 4,                                # three numbers each
+    [["1.0", 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],   # a string
+    [[None, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+    [[[1.0, 0.0]], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],   # nested too deep
+])
+def test_dense_matrix_json_rejects_malformed_entries(entries):
+    doc = dict(DenseMatrix(np.eye(2)).to_json_dict(), entries=entries)
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        DenseMatrix.from_json_dict(doc)
+
+
+def test_dense_matrix_json_accepts_integer_entries():
+    doc = dict(DenseMatrix(np.eye(2)).to_json_dict(),
+               entries=[[1, 0], [0, 0], [0, 0], [2, 0]])
+    assert np.array_equal(DenseMatrix.from_json_dict(doc).data, np.diag([1.0, 2.0]))

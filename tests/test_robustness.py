@@ -302,6 +302,22 @@ def test_certify_reports_first_rank_deficient_subset_past_first_chunk(monkeypatc
     assert result.certificate.worst_subset == draws[first]
 
 
+@pytest.mark.parametrize("chunk", [1, 7, robustness._SCAN_CHUNK])
+def test_refuted_certificate_counts_subsets_up_to_the_deficient_one(monkeypatch, chunk):
+    f = duplicate_pair_frame()
+    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    result = certify(f, C=1e6, K=2)
+    lexicographic = list(combinations(range(40), 2)).index((25, 26)) + 1
+    assert result.certificate.subsets_examined == lexicographic == 676
+    draws = sampled_draws(2, 40, 2, 2000)
+    first = next(i for i, s in enumerate(draws) if s in ((25, 26), (32, 33)))
+    result = certify(f, C=1e6, K=2, mode="sampled", samples=2000, seed=2)
+    assert result.certificate.subsets_examined == first + 1
+    with pytest.raises(RankDeficient) as info:
+        worst_condition(f, 2, mode="sampled", samples=2000, seed=2)
+    assert info.value.examined == first + 1
+
+
 # ---------------------------------------------------------------------------
 # bound inversion
 # ---------------------------------------------------------------------------
