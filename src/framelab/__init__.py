@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     DenseMatrix,
-    SvdResult,
     condition_number,
     condition_numbers,
     frame_operator,
@@ -36,7 +35,6 @@ from .linalg import (
     operator_norms,
     schatten_norm,
     singular_values,
-    svd_values,
 )
 from .frames import (
     DifferenceSet,
@@ -81,7 +79,6 @@ from .inequalities import (
 )
 from .probing import (
     ConcentrationEstimate,
-    ProbeDictionary,
     build_dictionary,
     check_scaled_isometry,
     circulant_dictionary,

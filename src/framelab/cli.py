@@ -1,9 +1,16 @@
 """Command-line entry point for reproducible framelab experiments.
 
 Every run resolves its configuration from three layers (defaults, then a
-JSON config file, then command-line flags), validates it against a
-per-command schema that rejects unknown keys, executes exactly one module
-operation, writes outputs atomically, and prints a manifest to stdout.
+JSON config file, then command-line flags), validates it, executes exactly
+one module operation, writes outputs atomically, and prints a manifest to
+stdout.
+
+One table, ``_COMMANDS``, declares each command once: its parameters (kind,
+default, choices, bounds), its output flag, whether it needs an output and a
+seed, and its runner.  The argparse flags are derived from it (``--`` plus
+the parameter name in kebab case), and :func:`validate` checks flags and
+config files alike against it, so every bad value exits 2 with the same
+``ConfigInvalid`` document naming its ``field``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
@@ -14,11 +21,13 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,69 +69,25 @@ from .linalg import DenseMatrix
 
 @dataclass(frozen=True)
 class Param:
+    """One parameter: config key ``name``, flag ``--name`` in kebab case."""
+
     name: str
-    kind: str            # int | float | str | bool | int_list | str_path
+    kind: str                  # int | float | str | bool | int_list
     required: bool = False
     default: object = None
+    choices: tuple = ()
+    ge: float | None = None    # value >= ge
+    gt: float | None = None    # value > gt
+    le: float | None = None    # value <= le
 
 
-_SCHEMAS: dict[str, tuple[Param, ...]] = {
-    "construct": (
-        Param("kind", "str", required=True),
-        Param("n", "int"),
-        Param("M", "int"),
-        Param("copies", "int", default=1),
-        Param("N", "int"),
-        Param("normalization", "str"),
-        Param("real", "bool", default=False),
-    ),
-    "erasure": (
-        Param("frame", "str_path", required=True),
-        Param("trials", "int", required=True),
-        Param("keep_prob", "float", default=0.5),
-    ),
-    "sweep": (
-        Param("n", "int", required=True),
-        Param("M_list", "int_list", required=True),
-        Param("trials", "int", required=True),
-        Param("keep_prob", "float", default=0.5),
-    ),
-    "ner": (
-        Param("frame", "str_path", required=True),
-        Param("K", "int", required=True),
-        Param("mode", "str", default=EXHAUSTIVE),
-        Param("samples", "int", default=0),
-        Param("C", "float"),
-    ),
-    "rudelson": (
-        Param("frame", "str_path", required=True),
-        Param("trials", "int", required=True),
-    ),
-    "khintchine": (
-        Param("m", "int", required=True),
-        Param("count", "int", required=True),
-        Param("dim", "int", required=True),
-        Param("trials", "int", default=0),
-        Param("exact", "bool", default=False),
-    ),
-    "probe": (
-        Param("n", "int", required=True),
-        Param("family", "str", default="circulant"),
-        Param("family_file", "str_path"),
-        Param("dist", "str", default=RADEMACHER),
-        Param("trials", "int", required=True),
-        Param("lambda_file", "str_path"),
-        Param("cond_limit", "float", default=1e8),
-    ),
-    "stirling": (
-        Param("m_max", "int", default=150),
-    ),
-}
-
-# commands whose resolved configuration consumes randomness
-_ALWAYS_SEEDED = {"erasure", "sweep", "rudelson", "khintchine", "probe"}
-
-_OUTPUT_REQUIRED = {"construct", "erasure", "sweep", "ner", "probe"}
+@dataclass(frozen=True)
+class Command:
+    params: tuple[Param, ...]
+    output_flag: str           # --out, --csv or --json
+    output_required: bool
+    seeded: bool               # needs a seed whatever its params
+    runner: Callable
 
 
 @dataclass(frozen=True)
@@ -141,129 +106,128 @@ class ExperimentConfig:
         }
 
 
+def _as_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError
+    return int(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError
+    if not math.isfinite(value):
+        raise ValueError
+    return float(value)
+
+
+def _as_type(t):
+    def check(value):
+        if not isinstance(value, t):
+            raise ValueError
+        return value
+    return check
+
+
+def _as_int_list(value) -> list[int]:
+    if isinstance(value, str):    # a flag: comma-separated integers
+        value = [int(v) for v in value.split(",") if v]
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError
+    return [_as_int(v) for v in value]
+
+
+_KINDS = {"int": _as_int, "float": _as_float, "str": _as_type(str),
+          "bool": _as_type(bool), "int_list": _as_int_list}
+
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
 def _coerce(param: Param, value, where: str):
-    kind = param.kind
     try:
-        if kind == "int":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError
-            return int(value)
-        if kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError
-            if not math.isfinite(value):
-                raise ValueError
-            return float(value)
-        if kind == "bool":
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if kind in ("str", "str_path"):
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-        if kind == "int_list":
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v]
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ValueError
-            return [int(v) for v in value]
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{where}: expected {kind}, got {value!r}", field=where)
-    raise ConfigInvalid(f"{where}: unknown parameter kind {kind}", field=where)
+        value = _KINDS[param.kind](value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid(f"{where}: expected {param.kind}, got {value!r}", field=where)
+    if param.choices and value not in param.choices:
+        raise ConfigInvalid(f"{where}: must be one of {', '.join(param.choices)}, "
+                            f"got {value!r}", field=where)
+    for op, bound in ((">=", param.ge), (">", param.gt), ("<=", param.le)):
+        if bound is not None and not _OPS[op](value, bound):
+            raise ConfigInvalid(f"{where}: must be {op} {bound}, got {value!r}", field=where)
+    return value
 
 
 def validate(raw: dict) -> ExperimentConfig:
     """Validate a raw config mapping into an ExperimentConfig.
 
-    Unknown keys are rejected by name; documented defaults are filled in;
-    stochastic commands must carry a seed.
+    The one check of types, choices, bounds and unknown keys, for flags and
+    config files alike.  Documented defaults are filled in; stochastic
+    commands must carry a seed.
     """
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object", field="")
-    allowed_top = {"command", "seed", "params", "output"}
     for key in raw:
-        if key not in allowed_top:
+        if key not in ("command", "seed", "params", "output"):
             raise ConfigInvalid(f"unknown config key {key!r}", field=key)
     command = raw.get("command")
-    if command not in _SCHEMAS:
+    if command not in _COMMANDS:
         raise ConfigInvalid(
-            f"command must be one of {sorted(_SCHEMAS)}, got {command!r}",
+            f"command must be one of {sorted(_COMMANDS)}, got {command!r}",
             field="command",
         )
-    params_in = raw.get("params") or {}
+    spec = _COMMANDS[command]
+    params_in = raw.get("params", {})
     if not isinstance(params_in, dict):
         raise ConfigInvalid("params must be an object", field="params")
-    schema = {p.name: p for p in _SCHEMAS[command]}
+    schema = {p.name: p for p in spec.params}
     for key in params_in:
         if key not in schema:
             raise ConfigInvalid(f"unknown parameter params.{key}", field=f"params.{key}")
     params: dict = {}
     for name, param in schema.items():
-        if name in params_in and params_in[name] is not None:
+        if params_in.get(name) is not None:
             params[name] = _coerce(param, params_in[name], f"params.{name}")
         elif param.required:
             raise ConfigInvalid(f"missing required parameter params.{name}",
                                 field=f"params.{name}")
-        elif param.default is not None or param.kind == "bool":
+        elif param.default is not None:
             params[name] = param.default
     seed = raw.get("seed")
     if seed is not None:
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigInvalid("seed must be an integer", field="seed")
-    # khintchine stays seeded even in exact mode: the seed feeds the family
-    stochastic = command in _ALWAYS_SEEDED or (
-        command == "ner" and params.get("mode") == SAMPLED
-    )
+    stochastic = spec.seeded or (command == "ner" and params["mode"] == SAMPLED)
     if stochastic and seed is None:
         raise ConfigInvalid(f"command {command!r} requires a seed", field="seed")
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigInvalid("output must be a path string", field="output")
-    if output is None and command in _OUTPUT_REQUIRED:
+    if not output and spec.output_required:
         raise ConfigInvalid(f"command {command!r} requires an output path", field="output")
-    _validate_ranges(command, params)
+    _validate_combinations(command, params)
     return ExperimentConfig(command=command, seed=seed, params=params, output=output)
 
 
-def _validate_ranges(command: str, params: dict):
+def _validate_combinations(command: str, params: dict):
+    """The rules that tie one parameter to another."""
     def bad(field, msg):
         raise ConfigInvalid(f"params.{field}: {msg}", field=f"params.{field}")
 
     if command == "construct":
         kind = params["kind"]
-        if kind not in ("scaled-onb", "harmonic", "etf"):
-            bad("kind", f"must be scaled-onb, harmonic or etf, got {kind!r}")
         if kind == "scaled-onb" and params.get("n") is None:
             bad("n", "required for scaled-onb")
         if kind == "harmonic" and (params.get("n") is None or params.get("M") is None):
             bad("n", "harmonic needs n and M")
         if kind == "etf" and (params.get("N") is None or params.get("M") is None):
             bad("N", "etf needs N (modulus) and M (set size)")
-        norm = params.get("normalization")
-        if norm is not None and norm not in (RECON, UNIT):
-            bad("normalization", f"must be recon or unit, got {norm!r}")
-    if "keep_prob" in params and not 0.0 < params["keep_prob"] <= 1.0:
-        bad("keep_prob", f"must be in (0, 1], got {params['keep_prob']}")
-    if "trials" in params and command != "khintchine" and params["trials"] < 1:
-        bad("trials", "must be >= 1")
-    if command == "khintchine":
-        if not params["exact"] and params["trials"] < 1:
-            bad("trials", "must be >= 1 unless exact mode is set")
-    if command == "ner":
-        if params["mode"] not in (EXHAUSTIVE, SAMPLED):
-            bad("mode", f"must be exhaustive or sampled, got {params['mode']!r}")
-        if params["mode"] == SAMPLED and params["samples"] < 1:
-            bad("samples", "sampled mode needs samples >= 1")
-    if command == "probe":
-        if params["family"] not in ("circulant", "file"):
-            bad("family", f"must be circulant or file, got {params['family']!r}")
-        if params["dist"] not in (RADEMACHER, UNIFORM):
-            bad("dist", f"must be rademacher or uniform, got {params['dist']!r}")
-    if command == "stirling" and not 1 <= params["m_max"] <= 150:
-        bad("m_max", "must be in 1..150")
+    if command == "khintchine" and not params["exact"] and params["trials"] < 1:
+        bad("trials", "must be >= 1 unless exact mode is set")
+    if command == "ner" and params["mode"] == SAMPLED and params["samples"] < 1:
+        bad("samples", "sampled mode needs samples >= 1")
+    if command == "probe" and params["family"] == "file" and not params.get("family_file"):
+        bad("family_file", "family 'file' needs params.family_file")
 
 
 # --------------------------------------------------------------------------
@@ -321,8 +285,23 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or bad UTF-8
         raise ConfigInvalid(f"cannot read JSON file {path}: {exc}", field=path)
+
+
+def _decode(path: str, decode):
+    """``decode`` of the JSON document in ``path``; a malformed one exits 2."""
+    doc = _load_json(path)
+    try:
+        return decode(doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"invalid file {path}: {exc}", field=path)
+
+
+def _family_from_json(doc) -> np.ndarray:
+    if not isinstance(doc, list):
+        raise ValueError("a family file holds a list of matrix objects")
+    return np.stack([DenseMatrix.from_json_dict(d).data for d in doc])
 
 
 def _per_s(count: int, seconds: float) -> float:
@@ -332,13 +311,6 @@ def _per_s(count: int, seconds: float) -> float:
 def _trial_counters(trials: int, seconds: float) -> dict:
     # stdout only: output files carry no timing, so reruns stay byte-identical
     return {"trials": trials, "trials_per_s": _per_s(trials, seconds)}
-
-
-def _load_frame(path: str) -> Frame:
-    try:
-        return Frame.from_json_dict(_load_json(path))
-    except ValueError as exc:
-        raise ConfigInvalid(f"invalid frame file {path}: {exc}", field=path)
 
 
 # --------------------------------------------------------------------------
@@ -358,14 +330,13 @@ def _run_construct(cfg: ExperimentConfig):
     norm = p.get("normalization")
     if norm is not None:
         f = renormalize(f, norm)
-    digest = _write_atomic(cfg.output, _json_bytes(f.to_json_dict()))
-    return {cfg.output: digest}, {"n": f.n, "M": f.M, "kind": f.kind,
-                                  "normalization": f.normalization}, {}
+    return _json_bytes(f.to_json_dict()), {"n": f.n, "M": f.M, "kind": f.kind,
+                                           "normalization": f.normalization}, {}
 
 
 def _run_erasure(cfg: ExperimentConfig):
     p = cfg.params
-    f = _load_frame(p["frame"])
+    f = _decode(p["frame"], Frame.from_json_dict)
     renormalized = f.normalization != RECON
     if renormalized:
         f = renormalize(f, RECON)
@@ -373,10 +344,9 @@ def _run_erasure(cfg: ExperimentConfig):
     start = time.perf_counter()
     report = mc_error_estimate(f, x, p["trials"], cfg.seed, p["keep_prob"])
     counters = _trial_counters(report.trials, time.perf_counter() - start)
-    digest = _write_atomic(cfg.output, _erasure_csv([report]))
-    return {cfg.output: digest}, {"mean_error": report.mean_error,
-                                  "ratio": report.ratio,
-                                  "renormalized": renormalized}, counters
+    return _erasure_csv([report]), {"mean_error": report.mean_error,
+                                    "ratio": report.ratio,
+                                    "renormalized": renormalized}, counters
 
 
 def _run_sweep(cfg: ExperimentConfig):
@@ -386,14 +356,13 @@ def _run_sweep(cfg: ExperimentConfig):
                                p["keep_prob"])
     counters = _trial_counters(sum(r.trials for r in reports),
                                time.perf_counter() - start)
-    digest = _write_atomic(cfg.output, _erasure_csv(reports))
-    return ({cfg.output: digest}, {"mean_errors": [r.mean_error for r in reports]},
+    return (_erasure_csv(reports), {"mean_errors": [r.mean_error for r in reports]},
             counters)
 
 
 def _run_ner(cfg: ExperimentConfig):
     p = cfg.params
-    f = _load_frame(p["frame"])
+    f = _decode(p["frame"], Frame.from_json_dict)
     start = time.perf_counter()
     if p.get("C") is not None:
         result = certify(f, C=p["C"], K=p["K"], mode=p["mode"],
@@ -409,22 +378,18 @@ def _run_ner(cfg: ExperimentConfig):
     # stdout only: the certificate file stays byte-identical across reruns
     counters = {"subsets_examined": cert.subsets_examined,
                 "subsets_per_s": _per_s(cert.subsets_examined, scan_s)}
-    digest = _write_atomic(cfg.output, _json_bytes(doc))
-    return {cfg.output: digest}, doc, counters
+    return _json_bytes(doc), doc, counters
 
 
 def _run_rudelson(cfg: ExperimentConfig):
     p = cfg.params
-    f = _load_frame(p["frame"])
+    f = _decode(p["frame"], Frame.from_json_dict)
     ens = SignEnsemble(count=f.M, exact=False, trials=p["trials"], seed=cfg.seed)
     start = time.perf_counter()
     est = rudelson_check(f, ens)
     counters = _trial_counters(est.trials, time.perf_counter() - start)
     doc = est.to_json_dict()
-    outputs = {}
-    if cfg.output:
-        outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, doc, counters
+    return _json_bytes(doc), doc, counters
 
 
 def _run_khintchine(cfg: ExperimentConfig):
@@ -439,10 +404,7 @@ def _run_khintchine(cfg: ExperimentConfig):
     seconds = time.perf_counter() - start
     counters = {} if est.exact else _trial_counters(est.trials, seconds)
     doc = est.to_json_dict()
-    outputs = {}
-    if cfg.output:
-        outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, doc, counters
+    return _json_bytes(doc), doc, counters
 
 
 def _run_probe(cfg: ExperimentConfig):
@@ -451,13 +413,9 @@ def _run_probe(cfg: ExperimentConfig):
     if p["family"] == "circulant":
         family = circulant_dictionary(n)
     else:
-        if not p.get("family_file"):
-            raise ConfigInvalid("family 'file' needs params.family_file",
-                                field="params.family_file")
-        mats = [DenseMatrix.from_json_dict(d) for d in _load_json(p["family_file"])]
-        family = np.stack([m.data for m in mats])
+        family = _decode(p["family_file"], _family_from_json)
     if p.get("lambda_file"):
-        lam = np.asarray(_load_json(p["lambda_file"]), dtype=np.float64)
+        lam = _decode(p["lambda_file"], lambda doc: np.asarray(doc, dtype=np.float64))
     else:
         lam = rng.substream(cfg.seed, rng.COEFFS).standard_normal(n)
     x = rng.substream(cfg.seed, rng.PROBE).integers(0, 2, size=n) * 2.0 - 1.0
@@ -479,9 +437,8 @@ def _run_probe(cfg: ExperimentConfig):
         },
         "concentration": conc.to_json_dict(),
     }
-    digest = _write_atomic(cfg.output, _json_bytes(doc))
-    return {cfg.output: digest}, {"rel_error": round_.rel_error,
-                                  "concentration_ratio": conc.ratio}, counters
+    return _json_bytes(doc), {"rel_error": round_.rel_error,
+                              "concentration_ratio": conc.ratio}, counters
 
 
 def _run_stirling(cfg: ExperimentConfig):
@@ -490,21 +447,64 @@ def _run_stirling(cfg: ExperimentConfig):
     doc = {"m_max": cfg.params["m_max"],
            "all_hold": all(r["holds"] for r in rows),
            "rows": rows}
-    outputs = {}
-    if cfg.output:
-        outputs[cfg.output] = _write_atomic(cfg.output, _json_bytes(doc))
-    return outputs, {"m_max": doc["m_max"], "all_hold": doc["all_hold"]}, {}
+    return _json_bytes(doc), {"m_max": doc["m_max"], "all_hold": doc["all_hold"]}, {}
 
 
-_RUNNERS = {
-    "construct": _run_construct,
-    "erasure": _run_erasure,
-    "sweep": _run_sweep,
-    "ner": _run_ner,
-    "rudelson": _run_rudelson,
-    "khintchine": _run_khintchine,
-    "probe": _run_probe,
-    "stirling": _run_stirling,
+# --------------------------------------------------------------------------
+# command table
+# --------------------------------------------------------------------------
+
+_FRAME = Param("frame", "str", required=True)
+_TRIALS = Param("trials", "int", required=True, ge=1)
+_KEEP_PROB = Param("keep_prob", "float", default=0.5, gt=0.0, le=1.0)
+
+_COMMANDS: dict[str, Command] = {
+    "construct": Command((
+        Param("kind", "str", required=True, choices=("scaled-onb", "harmonic", "etf")),
+        Param("n", "int"),
+        Param("M", "int"),
+        Param("copies", "int", default=1),
+        Param("N", "int"),
+        Param("normalization", "str", choices=(RECON, UNIT)),
+        Param("real", "bool", default=False),
+    ), "--out", output_required=True, seeded=False, runner=_run_construct),
+    "erasure": Command((_FRAME, _TRIALS, _KEEP_PROB),
+                       "--csv", output_required=True, seeded=True, runner=_run_erasure),
+    "sweep": Command((
+        Param("n", "int", required=True, ge=1),
+        Param("M_list", "int_list", required=True),
+        _TRIALS,
+        _KEEP_PROB,
+    ), "--csv", output_required=True, seeded=True, runner=_run_sweep),
+    "ner": Command((
+        _FRAME,
+        Param("K", "int", required=True),
+        Param("mode", "str", default=EXHAUSTIVE, choices=(EXHAUSTIVE, SAMPLED)),
+        Param("samples", "int", default=0),
+        Param("C", "float"),
+    ), "--json", output_required=True, seeded=False, runner=_run_ner),
+    "rudelson": Command((_FRAME, _TRIALS),
+                        "--json", output_required=False, seeded=True, runner=_run_rudelson),
+    # seeded even in exact mode: the seed feeds the family
+    "khintchine": Command((
+        Param("m", "int", required=True),
+        Param("count", "int", required=True, ge=1),
+        Param("dim", "int", required=True, ge=1),
+        Param("trials", "int", default=0),
+        Param("exact", "bool", default=False),
+    ), "--json", output_required=False, seeded=True, runner=_run_khintchine),
+    "probe": Command((
+        Param("n", "int", required=True, ge=1),
+        Param("family", "str", default="circulant", choices=("circulant", "file")),
+        Param("family_file", "str"),
+        Param("dist", "str", default=RADEMACHER, choices=(RADEMACHER, UNIFORM)),
+        _TRIALS,
+        Param("lambda_file", "str"),
+        Param("cond_limit", "float", default=1e8),
+    ), "--json", output_required=True, seeded=True, runner=_run_probe),
+    "stirling": Command((
+        Param("m_max", "int", default=150, ge=1, le=150),
+    ), "--json", output_required=False, seeded=False, runner=_run_stirling),
 }
 
 
@@ -517,7 +517,11 @@ def run(cfg: ExperimentConfig) -> dict:
     (its concentration estimate).  It is empty for the other commands.
     """
     start = time.monotonic()
-    outputs, result, counters = _RUNNERS[cfg.command](cfg)
+    data, result, counters = _COMMANDS[cfg.command].runner(cfg)
+    try:
+        outputs = {cfg.output: _write_atomic(cfg.output, data)} if cfg.output else {}
+    except OSError as exc:   # a directory, or a path that cannot be created
+        raise ConfigInvalid(f"cannot write output {cfg.output}: {exc}", field="output")
     return {
         "command": cfg.command,
         "config": cfg.echo(),
@@ -533,109 +537,69 @@ def run(cfg: ExperimentConfig) -> dict:
 # argument parsing
 # --------------------------------------------------------------------------
 
+_FLAG_TYPES = {"int": int, "float": float}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per schema parameter: ``--`` plus its name in kebab case.
+
+    Flags carry no choices or bounds: :func:`validate` checks them, so a
+    bad flag value and a bad config-file value fail alike.
+    """
     parser = argparse.ArgumentParser(
         prog="framelab",
         description="Tight-frame erasure, robustness, and sign-inequality experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, *, output_flag, params):
-        sp = sub.add_parser(cmd)
+    for name, spec in _COMMANDS.items():
+        sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file providing defaults")
         sp.add_argument("--seed", type=int, default=None)
-        if output_flag:
-            sp.add_argument(output_flag, dest="output", default=None)
-        for flag, kwargs in params.items():
-            sp.add_argument(flag, **kwargs)
-        return sp
-
-    add("construct", output_flag="--out", params={
-        "--kind": {"choices": ["scaled-onb", "harmonic", "etf"]},
-        "--n": {"type": int}, "--M": {"type": int},
-        "--copies": {"type": int}, "--N": {"type": int},
-        "--normalization": {"choices": [RECON, UNIT]},
-        "--real": {"action": "store_const", "const": True, "default": None},
-    })
-    add("erasure", output_flag="--csv", params={
-        "--frame": {}, "--trials": {"type": int}, "--keep-prob": {"type": float},
-    })
-    add("sweep", output_flag="--csv", params={
-        "--n": {"type": int}, "--M-list": {}, "--trials": {"type": int},
-        "--keep-prob": {"type": float},
-    })
-    add("ner", output_flag="--json", params={
-        "--frame": {}, "--K": {"type": int},
-        "--mode": {"choices": [EXHAUSTIVE, SAMPLED]},
-        "--samples": {"type": int}, "--C": {"type": float},
-    })
-    add("rudelson", output_flag="--json", params={
-        "--frame": {}, "--trials": {"type": int},
-    })
-    add("khintchine", output_flag="--json", params={
-        "--m": {"type": int}, "--count": {"type": int}, "--dim": {"type": int},
-        "--trials": {"type": int},
-        "--exact": {"action": "store_const", "const": True, "default": None},
-    })
-    add("probe", output_flag="--json", params={
-        "--n": {"type": int}, "--family": {}, "--family-file": {},
-        "--dist": {}, "--trials": {"type": int}, "--lambda-file": {},
-        "--cond-limit": {"type": float},
-    })
-    add("stirling", output_flag="--json", params={
-        "--m-max": {"type": int},
-    })
+        sp.add_argument(spec.output_flag, dest="output", default=None)
+        for p in spec.params:
+            flag = "--" + p.name.replace("_", "-")
+            if p.kind == "bool":
+                sp.add_argument(flag, dest=p.name, action="store_const", const=True,
+                                default=None)
+            else:
+                metavar = "{" + ",".join(p.choices) + "}" if p.choices else None
+                sp.add_argument(flag, dest=p.name, type=_FLAG_TYPES.get(p.kind, str),
+                                default=None, metavar=metavar)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Layer flag values over config-file values over schema defaults."""
-    raw = {"command": args.command, "params": {}}
+    raw = {"command": args.command}
     if args.config:
         file_cfg = _load_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ConfigInvalid("config file must hold a JSON object", field="")
-        if "command" in file_cfg and file_cfg["command"] != args.command:
+        if file_cfg.get("command", args.command) != args.command:
             raise ConfigInvalid(
                 f"config file is for command {file_cfg['command']!r}", field="command"
             )
-        raw["seed"] = file_cfg.get("seed")
-        raw["output"] = file_cfg.get("output")
-        params = file_cfg.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigInvalid("params must be an object", field="params")
-        raw["params"].update(params)
-        for key in file_cfg:
-            if key not in ("command", "seed", "params", "output"):
-                raise ConfigInvalid(f"unknown config key {key!r}", field=key)
-    schema_names = {p.name for p in _SCHEMAS[args.command]}
-    for key, value in vars(args).items():
-        if key in ("command", "config", "seed", "output") or value is None:
-            continue
-        if key not in schema_names:
-            raise ConfigInvalid(f"unknown parameter params.{key}", field=f"params.{key}")
-        raw["params"][key] = value
+        raw.update(file_cfg)
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config", "seed", "output") and value is not None}
+    params = raw.get("params", {})
+    raw["params"] = {**params, **flags} if isinstance(params, dict) else params
     if args.seed is not None:
         raw["seed"] = args.seed
-    if getattr(args, "output", None) is not None:
+    if args.output is not None:
         raw["output"] = args.output
     return raw
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = validate(_merge_config(args))
-    except ConfigInvalid as exc:
-        print(_dumps({"error": "ConfigInvalid", "detail": str(exc), "field": exc.field}))
-        return 2
-    try:
         manifest = _dumps(run(cfg))
     except ConfigInvalid as exc:
         print(_dumps({"error": "ConfigInvalid", "detail": str(exc), "field": exc.field}))
         return 2
-    except FramelabError as exc:
+    except FramelabError as exc:  # validate raises only ConfigInvalid: cfg is set
         print(_dumps({"error": type(exc).__name__, "detail": str(exc),
                       "config": cfg.echo()}))
         return 3

@@ -114,13 +114,19 @@ def _entry_pairs(entries, count: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"entries length {len(entries)} != rows*cols = {count}")
     try:
         if set(map(len, entries)) == {2}:
-            re = np.array([e[0] for e in entries])
-            im = np.array([e[1] for e in entries])
+            re = np.array(_no_booleans([e[0] for e in entries]))
+            im = np.array(_no_booleans([e[1] for e in entries]))
             if re.ndim == im.ndim == 1 and re.dtype.kind in "iuf" and im.dtype.kind in "iuf":
                 return re.astype(np.float64), im.astype(np.float64)
     except (TypeError, KeyError, ValueError) as exc:  # a bare number, nested lists
         raise ValueError(message) from exc
     raise ValueError(message)
+
+
+def _no_booleans(values: list) -> list:
+    if bool in set(map(type, values)):  # NumPy would cast a JSON true to 1.0
+        raise ValueError("a JSON boolean is not a number")
+    return values
 
 
 def as_array(m) -> np.ndarray:
@@ -143,24 +149,6 @@ def singular_values(m) -> np.ndarray:
     a = as_array(m)
     _require_finite(a)
     return np.linalg.svd(a, compute_uv=False)
-
-
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Nonincreasing singular-value sequence of a matrix."""
-
-    singular_values: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.singular_values, dtype=np.float64)
-        s = s.copy()
-        s.flags.writeable = False
-        object.__setattr__(self, "singular_values", s)
-
-
-def svd_values(m) -> SvdResult:
-    """Singular values of ``m`` packaged as an :class:`SvdResult`."""
-    return SvdResult(singular_values(m))
 
 
 def operator_norm(m) -> float:

@@ -139,9 +139,9 @@ def probe_roundtrip(U, lam, x, cond_limit: float = 1e8) -> RoundtripResult:
     lam = np.asarray(lam)
     if lam.shape != (stack.shape[0],):
         raise ShapeMismatch(f"lambda has shape {lam.shape}, expected ({stack.shape[0]},)")
-    a = np.tensordot(lam, stack, axes=(0, 0))
-    y = a @ np.asarray(x)
-    lam_hat, cond = recover_coefficients(build_dictionary(stack, x), y, cond_limit)
+    d = build_dictionary(stack, x)   # checks the length of x
+    y = np.tensordot(lam, stack, axes=(0, 0)) @ np.asarray(x)
+    lam_hat, cond = recover_coefficients(d, y, cond_limit)
     denom = np.linalg.norm(lam)
     rel = float(np.linalg.norm(lam_hat - lam) / denom) if denom > 0 else 0.0
     return RoundtripResult(lambda_hat=lam_hat, rel_error=rel, cond=cond)
@@ -260,27 +260,3 @@ def tuned_schatten_order(n: int) -> int:
     if n < 2:
         raise InvalidDimension(f"need n >= 2, got {n}")
     return max(1, round(math.log(n) / 2.0))
-
-
-@dataclass(frozen=True, eq=False)
-class ProbeDictionary:
-    """A bound probing instance: the family, its regrouping, and one probe."""
-
-    n: int
-    U: np.ndarray
-    T: np.ndarray
-    lam: np.ndarray
-    x: np.ndarray
-
-    @classmethod
-    def from_family(cls, U, lam, x) -> "ProbeDictionary":
-        stack = _family_stack(U)
-        n = stack.shape[0]
-        lam = np.asarray(lam)
-        x = np.asarray(x)
-        if lam.shape != (n,) or x.shape != (n,):
-            raise ShapeMismatch("lambda and x must both have length n")
-        return cls(n=n, U=stack, T=regroup(stack), lam=lam, x=x)
-
-    def dictionary(self) -> np.ndarray:
-        return build_dictionary(self.U, self.x)

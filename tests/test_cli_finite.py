@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from framelab import DenseMatrix, Frame, harmonic_frame
-from framelab.cli import main
+from framelab import ConfigInvalid, DenseMatrix, Frame, circulant_dictionary, harmonic_frame
+from framelab.cli import main, validate
 
 
 def _reject_constant(name):
@@ -103,6 +103,43 @@ def test_malformed_frame_entries_exit_2(tmp_path, capsys, entries):
     assert result["error"] == "ConfigInvalid"
     assert "[re, im] pairs" in result["detail"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, doc", [
+    ("--family-file", [dict(DenseMatrix(m).to_json_dict(), entries=[[1.0]] * 9)
+                       for m in circulant_dictionary(3)]),
+    ("--family-file", {"0": DenseMatrix(np.eye(3)).to_json_dict()}),
+    ("--family-file", [1.0, 2.0, 3.0]),
+    ("--lambda-file", [0.5, "x", 1.0]),
+])
+def test_malformed_probe_files_exit_2(tmp_path, capsys, option, doc):
+    files = {"--family-file": [DenseMatrix(m).to_json_dict()
+                               for m in circulant_dictionary(3)],
+             "--lambda-file": [0.5, -0.25, 1.0],
+             option: doc}
+    out = tmp_path / "probe.json"
+    argv = ["probe", "--n", 3, "--family", "file", "--trials", 10, "--seed", 0,
+            "--json", out]
+    for flag, content in files.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(content))
+        argv += [flag, path]
+    code, result = run_cli(capsys, *argv)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == str(tmp_path / f"{option[2:]}.json")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m_list", [[8.7, 16], [True, 16], ["8", 16]])
+def test_int_list_elements_follow_the_int_rule(m_list):
+    raw = {"command": "sweep", "seed": 1, "output": "x.csv",
+           "params": {"n": 4, "M_list": m_list, "trials": 10}}
+    with pytest.raises(ConfigInvalid) as exc:
+        validate(raw)
+    assert exc.value.field == "params.M_list"
+    raw["params"]["M_list"] = [8.0, 16]
+    assert validate(raw).params["M_list"] == [8, 16]
 
 
 def test_refuted_certificate_counters(tmp_path, capsys):

@@ -22,7 +22,6 @@ from framelab import (
     scaled_onb_frame,
     schatten_norm,
     singular_values,
-    svd_values,
 )
 
 
@@ -54,12 +53,6 @@ def test_svd_etf_rows_all_equal():
     assert np.allclose(ff, (7.0 / 3.0) * np.eye(3), atol=1e-12)
     s = singular_values(f.array)
     assert np.allclose(s, math.sqrt(7.0 / 3.0), rtol=1e-10)
-
-
-def test_svd_values_wrapper_sorted_nonnegative():
-    s = svd_values(random_matrix(0)).singular_values
-    assert np.all(np.diff(s) <= 0)
-    assert np.all(s >= 0)
 
 
 def test_svd_rejects_nonfinite():
@@ -374,6 +367,8 @@ def test_dense_matrix_json_rejects_bad_input():
     [["1.0", 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],   # a string
     [[None, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
     [[[1.0, 0.0]], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],   # nested too deep
+    [[True, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 0.0]],    # a boolean among numbers
+    [[1.0, 0.0], [0.0, False], [0.0, 0.0], [1.0, 0.0]],
 ])
 def test_dense_matrix_json_rejects_malformed_entries(entries):
     doc = dict(DenseMatrix(np.eye(2)).to_json_dict(), entries=entries)

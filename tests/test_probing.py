@@ -7,7 +7,6 @@ from framelab import (
     IllConditioned,
     InvalidDimension,
     OutOfRange,
-    ProbeDictionary,
     ShapeMismatch,
     Singular,
     SignEnsemble,
@@ -169,6 +168,11 @@ def test_roundtrip_zero_lambda():
     x = np.array([1.0, 1.0, -1.0, 1.0])
     result = probe_roundtrip(u, np.zeros(4), x)
     assert result.rel_error == 0.0
+
+
+def test_roundtrip_checks_probe_length():
+    with pytest.raises(ShapeMismatch):
+        probe_roundtrip(circulant_dictionary(3), np.ones(3), np.ones(4))
 
 
 def test_roundtrip_reconstructs_operator():
@@ -341,14 +345,3 @@ def test_khintchine_route_on_regrouped_family():
     m = tuned_schatten_order(n)
     est = khintchine_check(t, m, SignEnsemble(count=n, exact=True))
     assert est.ratio <= 1.0 + 1e-12
-
-
-def test_probe_dictionary_bundle():
-    u = circulant_dictionary(3)
-    pd = ProbeDictionary.from_family(u, np.array([0.5, -0.25, 1.0]),
-                                     np.array([1.0, 0.0, 0.0]))
-    assert pd.n == 3
-    assert np.array_equal(pd.T, regroup(u))
-    assert np.allclose(pd.dictionary(), build_dictionary(u, pd.x))
-    with pytest.raises(ShapeMismatch):
-        ProbeDictionary.from_family(u, np.zeros(2), np.zeros(3))
