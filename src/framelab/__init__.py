@@ -90,4 +90,4 @@ from .probing import (
     tuned_schatten_order,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -23,6 +23,7 @@ import json
 import math
 import operator
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -60,7 +61,7 @@ from .probing import (
     probe_roundtrip,
     regroup,
 )
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, _no_booleans
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def _decode(path: str, decode):
     doc = _load_json(path)
     try:
         return decode(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"invalid file {path}: {exc}", field=path)
 
 
@@ -302,6 +303,16 @@ def _family_from_json(doc) -> np.ndarray:
     if not isinstance(doc, list):
         raise ValueError("a family file holds a list of matrix objects")
     return np.stack([DenseMatrix.from_json_dict(d).data for d in doc])
+
+
+def _lambda_from_json(doc) -> np.ndarray:
+    if not isinstance(doc, list) or not all(isinstance(v, (int, float))
+                                            for v in _no_booleans(doc)):
+        raise ValueError("a lambda file holds a list of numbers")
+    lam = np.array(doc, dtype=np.float64)
+    if not np.all(np.isfinite(lam)):   # JSON NaN and Infinity decode as floats
+        raise NonFiniteEntry("lambda file holds NaN or Inf")
+    return lam
 
 
 def _per_s(count: int, seconds: float) -> float:
@@ -415,9 +426,14 @@ def _run_probe(cfg: ExperimentConfig):
     else:
         family = _decode(p["family_file"], _family_from_json)
     if p.get("lambda_file"):
-        lam = _decode(p["lambda_file"], lambda doc: np.asarray(doc, dtype=np.float64))
+        lam = _decode(p["lambda_file"], _lambda_from_json)
     else:
         lam = rng.substream(cfg.seed, rng.COEFFS).standard_normal(n)
+    for name, value, shape in (("family_file", family, (n, n, n)),
+                               ("lambda_file", lam, (n,))):
+        if value.shape != shape:   # only a file can differ from n
+            raise ConfigInvalid(f"params.{name}: shape {value.shape}, need {shape}",
+                                field=f"params.{name}")
     x = rng.substream(cfg.seed, rng.PROBE).integers(0, 2, size=n) * 2.0 - 1.0
     iso = check_scaled_isometry(regroup(family))
     round_ = probe_roundtrip(family, lam, x, cond_limit=p["cond_limit"])
@@ -515,6 +531,8 @@ def run(cfg: ExperimentConfig) -> dict:
     for ``ner``; Monte Carlo trials and the trial rate for ``erasure``,
     ``sweep``, ``rudelson``, ``khintchine`` (Monte Carlo mode) and ``probe``
     (its concentration estimate).  It is empty for the other commands.
+    ``env`` names what the results depend on besides the config: the Python
+    and NumPy versions and the Monte Carlo stream version.
     """
     start = time.monotonic()
     data, result, counters = _COMMANDS[cfg.command].runner(cfg)
@@ -530,6 +548,8 @@ def run(cfg: ExperimentConfig) -> dict:
         "outputs": outputs,
         "result": result,
         "counters": counters,
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "stream_version": rng.STREAM_VERSION},
     }
 
 

@@ -15,14 +15,13 @@ E ||x - y|| is compared against the redundancy scale
 reported as the dimensionless ratio mean_error / (epsilon * ||x||).
 
 Two estimators are provided: exact enumeration of all 2^M equiprobable
-masks (M <= 20), and seeded Monte Carlo whose per-trial masks are drawn
-from independent (seed, trial) substreams so results do not depend on
-evaluation order.  The Monte Carlo trials are evaluated in blocks (see
-``rng.trial_ranges``): each block's masks are stacked and reconstructed by
-one stacked (B, 1, M) @ (M, 2n) real-view matmul, and each error is a stacked
-dot product.  Each trial gets the same BLAS calls whatever block it lands in,
-so a trial's error is bit-identical across block sizes; against a per-trial
-loop it moves only by rounding (about 1e-15 relative).
+masks (M <= 20), and seeded Monte Carlo on ``rng.mc_values``, where trial t
+keeps coefficient j when u_j < keep_prob, u being its own row of the ``MASK``
+stream.  Each block's masks are reconstructed by one stacked
+(B, 1, M) @ (M, 2n) real-view matmul, and each error is a stacked dot product.
+Each trial gets the same BLAS calls whatever block it lands in, so a trial's
+error is bit-identical across block sizes; against a per-trial loop it moves
+only by rounding (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def exact_error_expectation(f: Frame, x) -> float:
 
 def per_trial_errors(f: Frame, x, trials: int, seed: int,
                      keep_prob: float = 0.5) -> np.ndarray:
-    """Reconstruction error of each trial; trial t uses substream (seed, t)."""
+    """Reconstruction error of each trial; trial t reads row t of the MASK stream."""
     if f.n < 2:
         raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {f.n}")
     if trials < 1:
@@ -149,18 +148,17 @@ def per_trial_errors(f: Frame, x, trials: int, seed: int,
     b = _contributions(f, x, keep_prob)
     # real views: a complex row of length n is a real row of length 2n
     cols = _real_view(np.ascontiguousarray(b.T))        # (M, n or 2n)
-    errors = np.empty(trials)
-    M = f.M
-    # scratch per trial: the mask as bool and as float64, y and x - y
-    for start, stop in rng.trial_ranges(trials, 9 * M + 32 * f.n):
-        kept = rng.trial_rows(seed, rng.MASK, start, stop,
-                              lambda s: s.random(M) < keep_prob)
-        y = (kept.astype(np.float64)[:, None, :] @ cols)[:, 0, :]
+
+    def kernel(u):
+        kept = (u < keep_prob).astype(np.float64)
+        y = (kept[:, None, :] @ cols)[:, 0, :]
         if np.iscomplexobj(b):
             y = y.view(np.complex128)
         d = _real_view(x - y)
-        errors[start:stop] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    return errors
+        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+    # scratch per trial: the mask as bool and as float64, y and x - y
+    return rng.mc_values(seed, rng.MASK, trials, f.M, 9 * f.M + 32 * f.n, kernel)
 
 
 def _real_view(a: np.ndarray) -> np.ndarray:
@@ -170,9 +168,7 @@ def _real_view(a: np.ndarray) -> np.ndarray:
 def mc_error_estimate(f: Frame, x, trials: int, seed: int,
                       keep_prob: float = 0.5) -> ErasureTrialReport:
     """Monte Carlo estimate of E ||x - y|| with the epsilon scale attached."""
-    errors = per_trial_errors(f, x, trials, seed, keep_prob)
-    mean = float(np.mean(errors))
-    stderr = float(np.std(errors, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean, stderr = rng.mean_stderr(per_trial_errors(f, x, trials, seed, keep_prob))
     epsilon = math.sqrt(f.n * math.log(f.n) / f.M)
     input_norm = float(np.linalg.norm(x))
     ratio = mean / (epsilon * input_norm) if input_norm > 0 else 0.0

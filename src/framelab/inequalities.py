@@ -22,13 +22,13 @@ Small instances are enumerated exactly over all 2^count sign patterns;
 larger ones are estimated by seeded Monte Carlo.  The related factorial
 bound (2m)!/(2^m m!) <= sqrt(2) (2/e)^m m^m is checked in the log domain.
 
-Monte Carlo trials are evaluated in blocks (see ``rng.trial_ranges``).  Trial
-t draws its signs from its own ``SIGNS`` substream whatever its block; the
-block's sums are then reduced together: the rank-one sums sum_i eps_i z_i z_i*
-are Hermitian, so ``linalg.operator_norms`` takes their top eigenvalue
-magnitude, and the Khintchine power sum_j sigma_j^(2m) comes from one batched
-SVD per block.  The estimates move only by rounding (about 1e-15 relative)
-against a per-trial loop.
+Monte Carlo trials run in blocks on ``rng.mc_values``: trial t takes
+eps = ``rng.rademacher(u)`` of its own row u of the ``SIGNS`` stream.  The
+block's sums are reduced together: the rank-one sums sum_i eps_i z_i z_i* are
+Hermitian, so ``linalg.operator_norms`` takes their top eigenvalue magnitude,
+and the Khintchine power sum_j sigma_j^(2m) comes from one batched SVD per
+block.  The estimates move only by rounding (about 1e-15 relative) against a
+per-trial loop.
 """
 
 from __future__ import annotations
@@ -72,18 +72,12 @@ class SignEnsemble:
         elif self.trials < 1:
             raise OutOfRange("Monte Carlo mode needs trials >= 1")
 
-    def signs(self, start: int, stop: int) -> np.ndarray:
-        """(stop - start, count) sign rows; trial t draws from its own substream."""
-        count = self.count
-        return rng.trial_rows(self.seed, rng.SIGNS, start, stop,
-                              lambda s: s.integers(0, 2, size=count) * 2.0 - 1.0)
 
-    def mc_values(self, row_bytes: int, kernel) -> np.ndarray:
-        """kernel(signs) over all trials, one block of sign rows at a time."""
-        values = np.empty(self.trials)
-        for start, stop in rng.trial_ranges(self.trials, row_bytes):
-            values[start:stop] = kernel(self.signs(start, stop))
-        return values
+def _sign_mc(ensemble: SignEnsemble, row_bytes: int, kernel) -> tuple[float, float]:
+    """Mean and stderr of ``kernel``, which maps (B, count) sign rows to B values."""
+    return rng.mean_stderr(rng.mc_values(
+        ensemble.seed, rng.SIGNS, ensemble.trials, ensemble.count, row_bytes,
+        lambda u: kernel(rng.rademacher(u))))
 
 
 @dataclass(frozen=True)
@@ -155,16 +149,9 @@ def sign_mc_expectation(summands, functional, trials: int, seed: int):
     count, shape = stack.shape[0], stack.shape[1:]
     flat = stack.reshape(count, -1)
     ens = SignEnsemble(count=count, exact=False, trials=trials, seed=seed)
-    return _mean_stderr(ens.mc_values(
-        2 * flat.nbytes // count,
-        lambda signs: [functional(a) for a in (signs @ flat).reshape(-1, *shape)]))
-
-
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    trials = len(values)
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr
+    return _sign_mc(
+        ens, 2 * flat.nbytes // count,
+        lambda signs: [functional(a) for a in (signs @ flat).reshape(-1, *shape)])
 
 
 def _schatten_power(a: np.ndarray, m: int) -> float:
@@ -209,9 +196,9 @@ def khintchine_check(matrices, m: int, ensemble: SignEnsemble) -> InequalityEsti
         lhs_stderr, trials = 0.0, 1 << stack.shape[0]
     else:
         flat = stack.reshape(len(stack), -1)
-        mean_pow, se_pow = _mean_stderr(ensemble.mc_values(
-            3 * flat.nbytes // len(stack),
-            lambda signs: _schatten_powers((signs @ flat).reshape(-1, *stack.shape[1:]), m)))
+        mean_pow, se_pow = _sign_mc(
+            ensemble, 3 * flat.nbytes // len(stack),
+            lambda signs: _schatten_powers((signs @ flat).reshape(-1, *stack.shape[1:]), m))
         lhs = mean_pow ** (1.0 / (2 * m))
         lhs_stderr = se_pow * lhs / (2 * m * mean_pow) if mean_pow > 0 else 0.0
         trials = ensemble.trials
@@ -244,9 +231,9 @@ def rudelson_check(vectors, ensemble: SignEnsemble) -> InequalityEstimate:
         lhs_stderr, trials = 0.0, 1 << M
     else:
         vh = v.conj().T
-        lhs, lhs_stderr = _mean_stderr(ensemble.mc_values(
-            (n * M + 3 * n * n) * v.itemsize,
-            lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True)))
+        lhs, lhs_stderr = _sign_mc(
+            ensemble, (n * M + 3 * n * n) * v.itemsize,
+            lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True))
         trials = ensemble.trials
     max_norm = float(np.max(np.linalg.norm(v, axis=0)))
     rhs = math.sqrt(math.log(n)) * max_norm * math.sqrt(operator_norm(v @ v.conj().T))

@@ -13,10 +13,11 @@ dictionary from its mean concentrates like sqrt(ln n), which
 ``concentration_estimate`` measures empirically.  The cyclic-shift family
 U_j = P^j / sqrt(n) realizes the scaled-isometry hypothesis exactly.
 
-``concentration_estimate`` evaluates its trials in blocks (see
-``rng.trial_ranges``): trial t draws its coefficients from its own ``DISTR``
-substream, and each block's dictionaries are formed by one matmul and reduced
-by ``linalg.operator_norms``, so memory does not grow with the trial count.
+``concentration_estimate`` runs its trials in blocks on ``rng.mc_values``:
+trial t maps its own row u of the ``DISTR`` stream to ``rng.rademacher(u)``
+or to the uniform 2u - 1.  Each block's dictionaries are formed by one matmul
+and reduced by ``linalg.operator_norms``, so memory does not grow with the
+trial count.
 """
 
 from __future__ import annotations
@@ -169,21 +170,6 @@ class ConcentrationEstimate:
         }
 
 
-def _check_distribution(distribution: str):
-    if distribution not in (RADEMACHER, UNIFORM):
-        raise UnsupportedDistribution(
-            f"distribution must be one of {sorted((RADEMACHER, UNIFORM))}, "
-            f"got {distribution!r}"
-        )
-
-
-def _draw_coefficients(distribution: str, n: int, stream: np.random.Generator) -> np.ndarray:
-    _check_distribution(distribution)
-    if distribution == RADEMACHER:
-        return stream.integers(0, 2, size=n) * 2.0 - 1.0
-    return stream.uniform(-1.0, 1.0, size=n)
-
-
 def concentration_estimate(T, distribution: str, trials: int,
                            seed: int) -> ConcentrationEstimate:
     """Mean operator-norm deviation of D = sum x_k T_k from its expectation.
@@ -192,7 +178,11 @@ def concentration_estimate(T, distribution: str, trials: int,
     (|x_k| <= 1), so E(D) = 0 and the deviation is ||D|| itself.  The ratio
     divides by sqrt(ln n).
     """
-    _check_distribution(distribution)
+    if distribution not in (RADEMACHER, UNIFORM):
+        raise UnsupportedDistribution(
+            f"distribution must be one of {sorted((RADEMACHER, UNIFORM))}, "
+            f"got {distribution!r}"
+        )
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
     stack = _family_stack(T)
@@ -200,12 +190,13 @@ def concentration_estimate(T, distribution: str, trials: int,
     if n < 2:
         raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {n}")
     flat = stack.reshape(n, -1)
-    devs = np.empty(trials)
-    for start, stop in rng.trial_ranges(trials, 3 * flat.shape[1] * flat.itemsize,
-                                        min_trials=_MIN_BLOCK):
-        block = rng.trial_rows(seed, rng.DISTR, start, stop,
-                               lambda s: _draw_coefficients(distribution, n, s))
-        devs[start:stop] = operator_norms((block @ flat).reshape(stop - start, n, n))
+
+    def kernel(u):
+        x = rng.rademacher(u) if distribution == RADEMACHER else 2.0 * u - 1.0
+        return operator_norms((x @ flat).reshape(len(u), n, n))
+
+    devs = rng.mc_values(seed, rng.DISTR, trials, n, 3 * flat.shape[1] * flat.itemsize,
+                         kernel, min_trials=_MIN_BLOCK)
     mean_dev = float(np.mean(devs))
     scale = math.sqrt(math.log(n))
     return ConcentrationEstimate(n=n, trials=trials, mean_dev=mean_dev,

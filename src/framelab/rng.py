@@ -1,28 +1,35 @@
-"""Deterministic random-stream derivation.
+"""Deterministic random streams, keyed by (seed, domain tag).
 
-Every stochastic routine derives an independent generator from
-``(seed, domain, index)``, so per-trial results never depend on execution
-order or on how much randomness an earlier trial consumed.  Domain tags
-keep different uses of the same experiment seed from colliding.
-
-Monte Carlo estimators evaluate their trials in blocks: ``trial_ranges``
-cuts the trials into blocks of bounded size, and ``trial_rows`` stacks the
-draws of one block.  Trial t still draws from its
-own ``substream(seed, domain, t)`` with the same calls, so the samples do not
-depend on the block size; only the linear algebra after the draw is batched.
+One-off draws (input vectors, families, probes, sampled subsets) take a PCG64
+generator from ``substream(seed, domain, index)``.  Monte Carlo trials read a
+counter-based Philox stream (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11) keyed by ``SeedSequence([seed, domain],
+spawn_key=(STREAM_VERSION,))``; without the spawn key the key would repeat
+the state of ``substream(seed, domain)``.  Trial t of a draw of ``width``
+uniforms reads counters [t s, (t + 1) s), s = ceil(width / 4), and maps each
+64-bit word w to (w >> 11) 2^-53.  A trial's values depend only on (seed,
+domain, t, width): results do not depend on block size or trial order, any
+trial can be regenerated alone, and a block of trials is one vectorized
+draw.  ``mc_values`` is the one Monte Carlo engine built on it.
 """
+
+import math
 
 import numpy as np
 
+# Values are frozen: changing the Philox key, addressing or conversion changes
+# every Monte Carlo output, and must bump this version and the package's.
+STREAM_VERSION = 2
+
 # Domain tags. Values are frozen: changing them changes every golden output.
-MASK = 0      # erasure masks, one stream per trial
+MASK = 0      # erasure masks, one Philox counter block per trial
 INPUT = 1     # deterministic test input vectors
-SIGNS = 2     # Bernoulli +-1 draws, one stream per trial
+SIGNS = 2     # Bernoulli +-1 draws, one Philox counter block per trial
 COEFFS = 3    # random coefficient vectors (lambda)
 SUBSETS = 4   # sampled column subsets
 PROBE = 5     # probe vectors x
 FAMILY = 6    # random matrix families
-DISTR = 7     # probe-coefficient distribution draws, one stream per trial
+DISTR = 7     # probe-coefficient distribution draws, one counter block per trial
 
 # A block of Monte Carlo trials holds at most _BLOCK_TRIALS trials and about
 # _BLOCK_BYTES (4 MB) of scratch, so the block, not the trial count, sets an
@@ -41,6 +48,26 @@ def substream(seed, domain, index=0):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _philox_key(seed, domain) -> np.ndarray:
+    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(domain)]
+    ss = np.random.SeedSequence(entropy, spawn_key=(STREAM_VERSION,))
+    return ss.generate_state(2, np.uint64)
+
+
+def uniforms(seed, domain, start, stop, width) -> np.ndarray:
+    """(stop - start, width) uniforms in [0, 1) of trials [start, stop)."""
+    stride = -(-width // 4)   # counters per trial; each yields four words
+    bitgen = np.random.Philox(key=_philox_key(seed, domain))
+    bitgen.advance(start * stride)
+    raw = bitgen.random_raw((stop - start) * stride * 4)
+    return (raw.reshape(stop - start, 4 * stride)[:, :width] >> 11) * 2.0**-53
+
+
+def rademacher(u: np.ndarray) -> np.ndarray:
+    """Random signs from uniforms: -1 where u < 1/2, +1 otherwise."""
+    return np.where(u < 0.5, -1.0, 1.0)
+
+
 def trial_ranges(trials, row_bytes, min_trials=1):
     """Cut ``range(trials)`` into (start, stop) blocks of consecutive trials.
 
@@ -54,6 +81,21 @@ def trial_ranges(trials, row_bytes, min_trials=1):
     return [(start, min(start + step, trials)) for start in range(0, trials, step)]
 
 
-def trial_rows(seed, domain, start, stop, draw):
-    """Rows ``draw(substream(seed, domain, t))`` for t in [start, stop), stacked."""
-    return np.stack([draw(substream(seed, domain, t)) for t in range(start, stop)])
+def mc_values(seed, domain, trials, width, row_bytes, kernel, min_trials=1) -> np.ndarray:
+    """Values of ``trials`` Monte Carlo trials, evaluated block by block.
+
+    ``kernel`` maps a block's (B, width) uniforms to its B trial values and
+    needs ``row_bytes`` of scratch per trial, on top of the draw's own: the
+    raw words (at most width + 3), the shifted words and the uniforms.
+    """
+    values = np.empty(trials)
+    for start, stop in trial_ranges(trials, row_bytes + 8 * (3 * width + 3), min_trials):
+        values[start:stop] = kernel(uniforms(seed, domain, start, stop, width))
+    return values
+
+
+def mean_stderr(values) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
+    trials = len(values)
+    stderr = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(values)), stderr

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from framelab import ConfigInvalid, DenseMatrix, Frame, circulant_dictionary, harmonic_frame
 from framelab.cli import main, validate
@@ -128,6 +130,86 @@ def test_malformed_probe_files_exit_2(tmp_path, capsys, option, doc):
     assert code == 2
     assert result["error"] == "ConfigInvalid"
     assert result["field"] == str(tmp_path / f"{option[2:]}.json")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", [
+    [True, 0.5, 1.0],
+    [1.0, 0.5, "1.0"],
+    [[0.5], -0.25, 1.0],
+    {"lambda": [0.5, -0.25, 1.0]},
+    0.5,
+    [0.5, 10**400, 1.0],
+])
+def test_lambda_file_must_be_a_list_of_numbers(tmp_path, capsys, lam):
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps(lam))
+    out = tmp_path / "probe.json"
+    code, result = run_cli(capsys, "probe", "--n", 3, "--trials", 10, "--seed", 0,
+                           "--lambda-file", path, "--json", out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == str(path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, lam, field", [
+    (4, [0.5] * 4, "params.family_file"),
+    (2, [0.5] * 2, "params.family_file"),
+    (3, [0.5, -0.25], "params.lambda_file"),
+])
+def test_probe_file_of_another_size_than_n_exits_2(tmp_path, capsys, n, lam, field):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([DenseMatrix(m).to_json_dict()
+                                  for m in circulant_dictionary(3)]))
+    lam_path = tmp_path / "lam.json"
+    lam_path.write_text(json.dumps(lam))
+    out = tmp_path / "probe.json"
+    code, result = run_cli(capsys, "probe", "--n", n, "--family", "file",
+                           "--family-file", family, "--lambda-file", lam_path,
+                           "--trials", 10, "--seed", 0, "--json", out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == field
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def nonfinite_work(tmp_path_factory):
+    return tmp_path_factory.mktemp("nonfinite")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["erasure", "rudelson", "ner", "family", "lambda"]),
+       index=st.integers(0, 1 << 16), part=st.integers(0, 1),
+       value=st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value):
+    frame = harmonic_frame(2, 6).to_json_dict()
+    family = [DenseMatrix(m).to_json_dict() for m in circulant_dictionary(3)]
+    lam = [0.5, -0.25, 1.0]
+    if target == "family":
+        entries = family[index % 3]["entries"]
+    elif target != "lambda":
+        entries = frame["matrix"]["entries"]
+    if target == "lambda":
+        lam[index % 3] = value
+    else:
+        entries[index % len(entries)][part] = value
+    paths = {}
+    for name, doc in (("frame", frame), ("family", family), ("lam", lam)):
+        paths[name] = nonfinite_work / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))   # NaN, Infinity, -Infinity
+    out = nonfinite_work / "out.json"
+    if out.exists():
+        out.unlink()
+    if target in ("family", "lambda"):
+        argv = ["probe", "--n", 3, "--family", "file", "--family-file", paths["family"],
+                "--lambda-file", paths["lam"], "--trials", 10, "--seed", 0]
+    else:
+        argv = [target, "--frame", paths["frame"], "--seed", 0]
+        argv += ["--K", 4] if target == "ner" else ["--trials", 10]
+    code = main([str(a) for a in argv + ["--json" if target != "erasure" else "--csv", out]])
+    assert code == 3
     assert not out.exists()
 
 

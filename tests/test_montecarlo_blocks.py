@@ -1,10 +1,12 @@
-"""Block evaluation of the Monte Carlo estimators.
+"""The Monte Carlo stream contract and block evaluation of the estimators.
 
+Trial t of a Philox stream reads its own counter block, so a block of trials
+draws exactly what the trials draw one at a time, and the draws are pinned.
 Each estimator evaluates its trials in blocks of ``rng._BLOCK_TRIALS``
 (fewer when a trial's scratch is large).  The block size must not change the
-samples: every estimate matches a per-trial reference loop written here, the
-erasure errors are bit-identical across block sizes, and memory does not grow
-with the trial count.
+samples: every estimate matches a per-trial reference loop written here that
+regenerates each trial on its own, the erasure errors are bit-identical
+across block sizes, and memory does not grow with the trial count.
 """
 
 import math
@@ -30,6 +32,10 @@ from framelab.inequalities import sign_mc_expectation
 
 BLOCKS = [1, 7, rng._BLOCK_TRIALS]
 
+# rng.uniforms(0, rng.MASK, 0, 2, 3) under stream version 2
+GOLDEN = [[0.9329842082654152, 0.4845214076217217, 0.6838308121893845],
+          [0.3106637558126717, 0.3367613917511273, 0.7489783629703008]]
+
 
 @pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b}")
 def block(request, monkeypatch):
@@ -46,8 +52,40 @@ def top_singular_value(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def trial_uniforms(seed, domain, t, width):
+    """Trial t's uniforms, drawn on their own."""
+    return rng.uniforms(seed, domain, t, t + 1, width)[0]
+
+
 def signs(seed, t, count):
-    return rng.substream(seed, rng.SIGNS, t).integers(0, 2, size=count) * 2.0 - 1.0
+    return np.where(trial_uniforms(seed, rng.SIGNS, t, count) < 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 5, 4096])
+def test_block_draw_equals_single_trial_draws(width):
+    block = rng.uniforms(3, rng.MASK, 5, 12, width)
+    single = [trial_uniforms(3, rng.MASK, t, width) for t in range(5, 12)]
+    assert block.shape == (7, width)
+    assert np.array_equal(block, single)
+    assert np.all((0.0 <= block) & (block < 1.0))
+
+
+def test_philox_key_is_apart_from_substream_state():
+    for seed, domain in [(0, rng.MASK), (7, rng.SIGNS), (-3, rng.DISTR)]:
+        key = rng._philox_key(seed, domain)
+        state = rng.substream(seed, domain, 0).bit_generator.seed_seq.generate_state(
+            2, np.uint64)
+        assert not np.array_equal(key, state)
+        # without the spawn key, SeedSequence([s, d]) would give the same words
+        bare = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, domain])
+        assert np.array_equal(bare.generate_state(2, np.uint64), state)
+
+
+def test_stream_contract_golden_values():
+    # A failure here is a change of the Monte Carlo stream contract: every
+    # Monte Carlo output changes, and rng.STREAM_VERSION must be bumped.
+    assert rng.STREAM_VERSION == 2
+    assert rng.uniforms(0, rng.MASK, 0, 2, 3).tolist() == GOLDEN
 
 
 def test_trial_ranges_cover_trials_in_order():
@@ -63,11 +101,6 @@ def test_trial_ranges_cover_trials_in_order():
             assert all(min(16, trials) <= s <= rng._BLOCK_TRIALS for s in floored[:-1])
 
 
-def test_trial_rows_use_one_substream_per_trial():
-    rows = rng.trial_rows(3, rng.MASK, 5, 9, lambda s: s.random(4))
-    assert np.array_equal(rows, [rng.substream(3, rng.MASK, t).random(4) for t in range(5, 9)])
-
-
 @pytest.mark.parametrize("n, M, keep_prob", [(2, 8, 0.5), (4, 16, 0.3)])
 def test_erasure_matches_per_trial_loop(block, n, M, keep_prob):
     f = harmonic_frame(n, M)
@@ -75,7 +108,7 @@ def test_erasure_matches_per_trial_loop(block, n, M, keep_prob):
     b = _contributions(f, x, keep_prob)
     reference = []
     for t in range(40):
-        kept = rng.substream(11, rng.MASK, t).random(M) < keep_prob
+        kept = trial_uniforms(11, rng.MASK, t, M) < keep_prob
         reference.append(np.linalg.norm(x - b[:, kept].sum(axis=1)))
     errors = per_trial_errors(f, x, 40, 11, keep_prob)
     assert np.allclose(errors, reference, rtol=0.0, atol=1e-12)
@@ -137,9 +170,8 @@ def test_concentration_matches_per_trial_loop(block, distribution):
     t_stack = regroup(circulant_dictionary(n))
     devs = []
     for t in range(30):
-        stream = rng.substream(4, rng.DISTR, t)
-        x = (stream.integers(0, 2, size=n) * 2.0 - 1.0 if distribution == "rademacher"
-             else stream.uniform(-1.0, 1.0, size=n))
+        u = trial_uniforms(4, rng.DISTR, t, n)
+        x = np.where(u < 0.5, -1.0, 1.0) if distribution == "rademacher" else 2.0 * u - 1.0
         devs.append(top_singular_value(np.tensordot(x, t_stack, 1)))
     est = concentration_estimate(t_stack, distribution, 30, 4)
     assert est.mean_dev == pytest.approx(float(np.mean(devs)), rel=1e-12)
