@@ -57,7 +57,6 @@ from .erasure import (
     mc_error_estimate,
     reconstruct,
     redundancy_sweep,
-    sample_mask,
 )
 from .robustness import (
     CertifyResult,

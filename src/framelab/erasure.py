@@ -14,14 +14,15 @@ E ||x - y|| is compared against the redundancy scale
 
 reported as the dimensionless ratio mean_error / (epsilon * ||x||).
 
-Two estimators are provided: exact enumeration of all 2^M equiprobable
-masks (M <= 20), and seeded Monte Carlo on ``rng.mc_values``, where trial t
-keeps coefficient j when u_j < keep_prob, u being its own row of the ``MASK``
-stream.  Each block's masks are reconstructed by one stacked
-(B, 1, M) @ (M, 2n) real-view matmul, and each error is a stacked dot product.
-Each trial gets the same BLAS calls whatever block it lands in, so a trial's
-error is bit-identical across block sizes; against a per-trial loop it moves
-only by rounding (about 1e-15 relative).
+Both estimators run one mask kernel on the block loop of ``rng``: exact
+enumeration feeds it all 2^M equiprobable masks (M <= ``rng.ENUM_LIMIT``,
+keep_prob = 1/2) from ``rng.pattern_values``, and seeded Monte Carlo feeds it
+the masks u < keep_prob from ``rng.mc_values``, u being trial t's own row of
+the ``MASK`` stream.  The kernel reconstructs a block's masks by one stacked
+(B, 1, M) @ (M, 2n) real-view matmul and takes each error as a stacked dot
+product.  Each mask gets the same BLAS calls whatever block it lands in, so
+its error is bit-identical across block sizes; against a per-mask loop it
+moves only by rounding (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from .errors import (
     TooLarge,
 )
 from .frames import RECON, Frame, harmonic_frame
-
-_ENUM_LIMIT = 20
-_ENUM_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +78,6 @@ class ErasureTrialReport:
     seed: int
 
 
-def sample_mask(M: int, keep_prob: float, stream: np.random.Generator) -> ErasureMask:
-    """Draw an independent Bernoulli(keep_prob) survival flag per coefficient."""
-    if not 0.0 < keep_prob <= 1.0:
-        raise InvalidProbability(f"keep_prob must be in (0, 1], got {keep_prob}")
-    kept = stream.random(M) < keep_prob
-    return ErasureMask(kept=kept, keep_prob=keep_prob)
-
-
 def analysis_coefficients(f: Frame, x) -> np.ndarray:
     """Transmitted inner products <z_j, x>, conjugate-linear in the frame vector."""
     x = np.asarray(x)
@@ -118,21 +108,29 @@ def _contributions(f: Frame, x, keep_prob: float) -> np.ndarray:
     return f.array * c[None, :] / (keep_prob * f.M)
 
 
+def _error_kernel(f: Frame, x, keep_prob: float):
+    """Kernel mapping (B, M) float 0/1 masks to their B errors ||x - y||."""
+    x = np.asarray(x)
+    b = _contributions(f, x, keep_prob)
+    # real views: a complex row of length n is a real row of length 2n
+    cols = _real_view(np.ascontiguousarray(b.T))        # (M, n or 2n)
+
+    def kernel(kept):
+        y = (kept[:, None, :] @ cols)[:, 0, :]
+        if np.iscomplexobj(b):
+            y = y.view(np.complex128)
+        d = _real_view(x - y)
+        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+    return kernel
+
+
 def exact_error_expectation(f: Frame, x) -> float:
     """Exact E ||x - y|| at keep_prob 1/2 by enumerating all 2^M masks."""
-    if f.M > _ENUM_LIMIT:
-        raise TooLarge(f"exact enumeration limited to M <= {_ENUM_LIMIT}, got {f.M}")
-    x = np.asarray(x)
-    b = _contributions(f, x, keep_prob=0.5)  # (n, M)
-    total = 1 << f.M
-    acc = 0.0
-    j = np.arange(f.M)
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total))
-        theta = ((idx[:, None] >> j[None, :]) & 1).astype(np.float64)
-        y = theta @ b.T  # (chunk, n)
-        acc += float(np.sum(np.linalg.norm(y - x[None, :], axis=1)))
-    return acc / total
+    if f.M > rng.ENUM_LIMIT:
+        raise TooLarge(f"exact enumeration limited to M <= {rng.ENUM_LIMIT}, got {f.M}")
+    # scratch per mask: y and x - y
+    return float(np.mean(rng.pattern_values(f.M, 32 * f.n, _error_kernel(f, x, 0.5))))
 
 
 def per_trial_errors(f: Frame, x, trials: int, seed: int,
@@ -144,21 +142,10 @@ def per_trial_errors(f: Frame, x, trials: int, seed: int,
         raise OutOfRange(f"trials must be >= 1, got {trials}")
     if not 0.0 < keep_prob <= 1.0:
         raise InvalidProbability(f"keep_prob must be in (0, 1], got {keep_prob}")
-    x = np.asarray(x)
-    b = _contributions(f, x, keep_prob)
-    # real views: a complex row of length n is a real row of length 2n
-    cols = _real_view(np.ascontiguousarray(b.T))        # (M, n or 2n)
-
-    def kernel(u):
-        kept = (u < keep_prob).astype(np.float64)
-        y = (kept[:, None, :] @ cols)[:, 0, :]
-        if np.iscomplexobj(b):
-            y = y.view(np.complex128)
-        d = _real_view(x - y)
-        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-
+    kernel = _error_kernel(f, x, keep_prob)
     # scratch per trial: the mask as bool and as float64, y and x - y
-    return rng.mc_values(seed, rng.MASK, trials, f.M, 9 * f.M + 32 * f.n, kernel)
+    return rng.mc_values(seed, rng.MASK, trials, f.M, 9 * f.M + 32 * f.n,
+                         lambda u: kernel((u < keep_prob).astype(np.float64)))
 
 
 def _real_view(a: np.ndarray) -> np.ndarray:

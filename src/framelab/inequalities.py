@@ -18,17 +18,20 @@ Two classical bounds are estimated over random sign vectors
 
   with C_m = 2 ((2m)! / (2^m m!))**(1/(2m)).
 
-Small instances are enumerated exactly over all 2^count sign patterns;
-larger ones are estimated by seeded Monte Carlo.  The related factorial
-bound (2m)!/(2^m m!) <= sqrt(2) (2/e)^m m^m is checked in the log domain.
+Both bounds are averaged through one block kernel per check, which maps a
+(B, count) block of sign rows to B values, fed from one of two row sources.
+Small instances are enumerated exactly: the first sign is fixed to +1 (every
+functional here is even) and the other count - 1 signs are 2 b - 1 of the
+0/1 rows b of ``rng.pattern_values``.  Larger ones are estimated by seeded
+Monte Carlo on ``rng.mc_values``: trial t takes eps = ``rng.rademacher(u)``
+of its own row u of the ``SIGNS`` stream.  The related factorial bound
+(2m)!/(2^m m!) <= sqrt(2) (2/e)^m m^m is checked in the log domain.
 
-Monte Carlo trials run in blocks on ``rng.mc_values``: trial t takes
-eps = ``rng.rademacher(u)`` of its own row u of the ``SIGNS`` stream.  The
-block's sums are reduced together: the rank-one sums sum_i eps_i z_i z_i* are
-Hermitian, so ``linalg.operator_norms`` takes their top eigenvalue magnitude,
-and the Khintchine power sum_j sigma_j^(2m) comes from one batched SVD per
-block.  The estimates move only by rounding (about 1e-15 relative) against a
-per-trial loop.
+A block's sums are reduced together: the rank-one sums sum_i eps_i z_i z_i*
+are Hermitian, so ``linalg.operator_norms`` takes their top eigenvalue
+magnitude, and the Khintchine power sum_j sigma_j^(2m) comes from one batched
+SVD per block.  The averages move only by rounding (about 1e-15 relative)
+against a per-pattern loop.
 """
 
 from __future__ import annotations
@@ -46,10 +49,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .linalg import as_array, operator_norm, operator_norms, singular_values
-
-_ENUM_LIMIT = 20
-_ENUM_CHUNK = 1 << 11
+from .linalg import as_array, operator_norm, operator_norms
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,28 @@ class SignEnsemble:
         if self.count < 1:
             raise OutOfRange("count must be >= 1")
         if self.exact:
-            if self.count > _ENUM_LIMIT:
+            if self.count > rng.ENUM_LIMIT:
                 raise TooLarge(
-                    f"exact enumeration limited to count <= {_ENUM_LIMIT}, got {self.count}"
+                    f"exact enumeration limited to count <= {rng.ENUM_LIMIT}, got {self.count}"
                 )
         elif self.trials < 1:
             raise OutOfRange("Monte Carlo mode needs trials >= 1")
 
 
-def _sign_mc(ensemble: SignEnsemble, row_bytes: int, kernel) -> tuple[float, float]:
-    """Mean and stderr of ``kernel``, which maps (B, count) sign rows to B values."""
-    return rng.mean_stderr(rng.mc_values(
+def _sign_average(ensemble: SignEnsemble, row_bytes: int, kernel):
+    """Mean, stderr and pattern count of ``kernel`` over the ensemble's signs.
+
+    ``kernel`` maps (B, count) sign rows to B values and needs ``row_bytes``
+    of scratch per row.  Exact mode fixes the first sign to +1; its stderr is 0.
+    """
+    if ensemble.exact:
+        values = rng.pattern_values(ensemble.count - 1, row_bytes,
+                                    lambda b: kernel(np.insert(2.0 * b - 1.0, 0, 1.0, axis=1)))
+        return float(np.mean(values)), 0.0, 1 << ensemble.count
+    mean, stderr = rng.mean_stderr(rng.mc_values(
         ensemble.seed, rng.SIGNS, ensemble.trials, ensemble.count, row_bytes,
         lambda u: kernel(rng.rademacher(u))))
+    return mean, stderr, ensemble.trials
 
 
 @dataclass(frozen=True)
@@ -118,46 +127,29 @@ def _stack(summands) -> np.ndarray:
     return np.stack(arrays)
 
 
+def _sums_kernel(stack: np.ndarray, functional):
+    """Kernel mapping (B, count) sign rows to functional of their B sums."""
+    flat = stack.reshape(len(stack), -1)
+    return lambda signs: functional((signs @ flat).reshape(-1, *stack.shape[1:]))
+
+
 def exact_sign_expectation(summands, functional) -> float:
     """Average functional(sum_j eps_j S_j) over all 2^count sign patterns.
 
-    The functional must be even (f(-X) = f(X), true of every norm), which
-    lets the enumeration fix the first sign and halve the work.
+    ``functional`` is batched: it maps a (B, *shape) stack of sums to their
+    B values.  It must be even (f(-X) = f(X), true of every norm), which lets
+    the enumeration fix the first sign and halve the work.
     """
     stack = _stack(summands)
-    count = stack.shape[0]
-    if count > _ENUM_LIMIT:
-        raise TooLarge(f"exact enumeration limited to count <= {_ENUM_LIMIT}")
-    flat = stack.reshape(count, -1)
-    total = 1 << (count - 1)  # first sign fixed to +1
-    bits = np.arange(count - 1)
-    acc = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total))
-        signs = np.ones((idx.size, count))
-        if count > 1:
-            signs[:, 1:] = ((idx[:, None] >> bits[None, :]) & 1) * 2.0 - 1.0
-        sums = signs @ flat
-        for row in sums:
-            acc += functional(row.reshape(stack.shape[1:]))
-    return acc / total
+    ens = SignEnsemble(count=len(stack), exact=True)
+    return _sign_average(ens, 2 * stack[0].nbytes, _sums_kernel(stack, functional))[0]
 
 
 def sign_mc_expectation(summands, functional, trials: int, seed: int):
-    """Monte Carlo mean and standard error of functional(sum_j eps_j S_j)."""
+    """Monte Carlo mean and stderr of functional(sum_j eps_j S_j), batched as above."""
     stack = _stack(summands)
-    count, shape = stack.shape[0], stack.shape[1:]
-    flat = stack.reshape(count, -1)
-    ens = SignEnsemble(count=count, exact=False, trials=trials, seed=seed)
-    return _sign_mc(
-        ens, 2 * flat.nbytes // count,
-        lambda signs: [functional(a) for a in (signs @ flat).reshape(-1, *shape)])
-
-
-def _schatten_power(a: np.ndarray, m: int) -> float:
-    """sum_j sigma_j(a)^(2m)."""
-    s = singular_values(a)
-    return float(np.sum(s ** (2 * m)))
+    ens = SignEnsemble(count=len(stack), exact=False, trials=trials, seed=seed)
+    return _sign_average(ens, 2 * stack[0].nbytes, _sums_kernel(stack, functional))[:2]
 
 
 def _schatten_powers(stack: np.ndarray, m: int) -> np.ndarray:
@@ -190,18 +182,11 @@ def khintchine_check(matrices, m: int, ensemble: SignEnsemble) -> InequalityEsti
         raise ShapeMismatch(
             f"ensemble.count = {ensemble.count} != number of matrices {stack.shape[0]}"
         )
-    if ensemble.exact:
-        mean_pow = exact_sign_expectation(stack, lambda a: _schatten_power(a, m))
-        lhs = mean_pow ** (1.0 / (2 * m))
-        lhs_stderr, trials = 0.0, 1 << stack.shape[0]
-    else:
-        flat = stack.reshape(len(stack), -1)
-        mean_pow, se_pow = _sign_mc(
-            ensemble, 3 * flat.nbytes // len(stack),
-            lambda signs: _schatten_powers((signs @ flat).reshape(-1, *stack.shape[1:]), m))
-        lhs = mean_pow ** (1.0 / (2 * m))
-        lhs_stderr = se_pow * lhs / (2 * m * mean_pow) if mean_pow > 0 else 0.0
-        trials = ensemble.trials
+    mean_pow, se_pow, trials = _sign_average(
+        ensemble, 3 * stack[0].nbytes,
+        _sums_kernel(stack, lambda sums: _schatten_powers(sums, m)))
+    lhs = mean_pow ** (1.0 / (2 * m))
+    lhs_stderr = se_pow * lhs / (2 * m * mean_pow) if mean_pow > 0 else 0.0
     left_sum = np.einsum("jki,jkl->il", stack.conj(), stack)   # sum A_j* A_j
     right_sum = np.einsum("jik,jlk->il", stack, stack.conj())  # sum A_j A_j*
     rhs = khintchine_constant(m) * max(
@@ -225,16 +210,10 @@ def rudelson_check(vectors, ensemble: SignEnsemble) -> InequalityEstimate:
         raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {n}")
     if ensemble.count != M:
         raise ShapeMismatch(f"ensemble.count = {ensemble.count} != M = {M}")
-    if ensemble.exact:
-        summands = np.einsum("im,jm->mij", v, v.conj())
-        lhs = exact_sign_expectation(summands, operator_norm)
-        lhs_stderr, trials = 0.0, 1 << M
-    else:
-        vh = v.conj().T
-        lhs, lhs_stderr = _sign_mc(
-            ensemble, (n * M + 3 * n * n) * v.itemsize,
-            lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True))
-        trials = ensemble.trials
+    vh = v.conj().T
+    lhs, lhs_stderr, trials = _sign_average(
+        ensemble, (n * M + 3 * n * n) * v.itemsize,
+        lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True))
     max_norm = float(np.max(np.linalg.norm(v, axis=0)))
     rhs = math.sqrt(math.log(n)) * max_norm * math.sqrt(operator_norm(v @ v.conj().T))
     ratio = lhs / rhs if rhs > 0 else 0.0

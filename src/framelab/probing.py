@@ -215,7 +215,9 @@ def contraction_check(summands, x, b: float) -> ContractionReport:
     """Verify E||sum eps_k x_k f_k|| <= b E||sum eps_k f_k|| by full enumeration.
 
     ``summands`` may be vectors (Euclidean norm) or matrices (operator
-    norm); all coefficients must satisfy |x_k| <= b.
+    norm); all coefficients must satisfy |x_k| <= b.  Both sides run on
+    ``inequalities.exact_sign_expectation``, which enumerates the sign
+    patterns in blocks and takes each block's norms in one batched call.
     """
     arrays = [np.asarray(f) for f in summands]
     count = len(arrays)
@@ -226,7 +228,7 @@ def contraction_check(summands, x, b: float) -> ContractionReport:
         raise ShapeMismatch(f"coefficients have shape {x.shape}, expected ({count},)")
     if b <= 0 or np.any(np.abs(x) > b * (1 + 1e-15)):
         raise OutOfRange("need |x_k| <= b with b > 0")
-    norm = np.linalg.norm if arrays[0].ndim == 1 else operator_norm
+    norm = (lambda s: np.linalg.norm(s, axis=-1)) if arrays[0].ndim == 1 else operator_norms
     lhs = exact_sign_expectation([xk * f for xk, f in zip(x, arrays)], norm)
     rhs = b * exact_sign_expectation(arrays, norm)
     return ContractionReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1 + 1e-12)))
@@ -242,8 +244,11 @@ def circulant_dictionary(n: int) -> np.ndarray:
     """
     if n < 2:
         raise InvalidDimension(f"need n >= 2, got {n}")
-    eye = np.eye(n)
-    return np.stack([np.roll(eye, j, axis=0) for j in range(1, n + 1)]) / math.sqrt(n)
+    # U_j, j = i + 1, holds 1/sqrt(n) at row (k + j) mod n of each column k
+    i = np.arange(n)
+    family = np.zeros((n, n, n))
+    family[i[:, None], (i[:, None] + i + 1) % n, i] = 1.0 / math.sqrt(n)
+    return family
 
 
 def tuned_schatten_order(n: int) -> int:

@@ -10,7 +10,9 @@ uniforms reads counters [t s, (t + 1) s), s = ceil(width / 4), and maps each
 64-bit word w to (w >> 11) 2^-53.  A trial's values depend only on (seed,
 domain, t, width): results do not depend on block size or trial order, any
 trial can be regenerated alone, and a block of trials is one vectorized
-draw.  ``mc_values`` is the one Monte Carlo engine built on it.
+draw.  One block loop runs an estimator's kernel, which maps B rows to B
+values, on rows from either source: ``mc_values`` feeds it Monte Carlo
+uniforms, ``pattern_values`` the 0/1 rows of all 2^width patterns.
 """
 
 import math
@@ -40,6 +42,9 @@ DISTR = 7     # probe-coefficient distribution draws, one counter block per tria
 # peaked at 77 MB instead of 72 MB (NumPy 2.4, glibc malloc, x86-64).
 _BLOCK_TRIALS = 256
 _BLOCK_BYTES = 1 << 22
+
+# Longest pattern (mask length, sign count) that is enumerated exactly.
+ENUM_LIMIT = 20
 
 
 def substream(seed, domain, index=0):
@@ -81,6 +86,14 @@ def trial_ranges(trials, row_bytes, min_trials=1):
     return [(start, min(start + step, trials)) for start in range(0, trials, step)]
 
 
+def _block_values(count, row_bytes, rows, kernel, min_trials=1) -> np.ndarray:
+    """``kernel(rows(start, stop))`` over the blocks of ``trial_ranges``."""
+    values = np.empty(count)
+    for start, stop in trial_ranges(count, row_bytes, min_trials):
+        values[start:stop] = kernel(rows(start, stop))
+    return values
+
+
 def mc_values(seed, domain, trials, width, row_bytes, kernel, min_trials=1) -> np.ndarray:
     """Values of ``trials`` Monte Carlo trials, evaluated block by block.
 
@@ -88,10 +101,23 @@ def mc_values(seed, domain, trials, width, row_bytes, kernel, min_trials=1) -> n
     needs ``row_bytes`` of scratch per trial, on top of the draw's own: the
     raw words (at most width + 3), the shifted words and the uniforms.
     """
-    values = np.empty(trials)
-    for start, stop in trial_ranges(trials, row_bytes + 8 * (3 * width + 3), min_trials):
-        values[start:stop] = kernel(uniforms(seed, domain, start, stop, width))
-    return values
+    return _block_values(trials, row_bytes + 8 * (3 * width + 3), lambda start, stop:
+                         uniforms(seed, domain, start, stop, width), kernel, min_trials)
+
+
+def pattern_values(width, row_bytes, kernel) -> np.ndarray:
+    """Values of all 2^width 0/1 patterns, evaluated block by block.
+
+    Row i holds the bits of i, bit j in column j, as float64.  ``kernel``
+    maps a block's (B, width) rows to its B values and needs ``row_bytes`` of
+    scratch per row, on top of the rows' own (indices, bits and floats).
+    """
+    bits = np.arange(width)
+
+    def rows(start, stop):
+        return ((np.arange(start, stop)[:, None] >> bits) & 1).astype(np.float64)
+
+    return _block_values(1 << width, row_bytes + 24 * width, rows, kernel)
 
 
 def mean_stderr(values) -> tuple[float, float]:

@@ -18,12 +18,10 @@ from framelab import (
     mc_error_estimate,
     reconstruct,
     redundancy_sweep,
-    sample_mask,
     scaled_onb_frame,
 )
 from framelab.erasure import analysis_coefficients, per_trial_errors
 from framelab.frames import renormalize, difference_set_etf, find_difference_set
-from framelab import rng
 
 
 def all_masks(M, keep_prob=0.5):
@@ -36,28 +34,10 @@ def all_masks(M, keep_prob=0.5):
 # masks
 # ---------------------------------------------------------------------------
 
-def test_mask_keep_all():
-    m = sample_mask(50, 1.0, rng.substream(0, rng.MASK, 0))
-    assert m.kept.all()
-
-
-def test_mask_concentration():
-    m = sample_mask(100_000, 0.5, rng.substream(7, rng.MASK, 0))
-    frac = m.kept.mean()
-    assert abs(frac - 0.5) < 0.01
-
-
-def test_mask_deterministic():
-    a = sample_mask(1000, 0.5, rng.substream(3, rng.MASK, 5))
-    b = sample_mask(1000, 0.5, rng.substream(3, rng.MASK, 5))
-    assert np.array_equal(a.kept, b.kept)
-
-
 def test_mask_rejects_bad_prob():
-    stream = rng.substream(0, rng.MASK, 0)
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(InvalidProbability):
-            sample_mask(10, p, stream)
+            ErasureMask(kept=np.ones(10, dtype=bool), keep_prob=p)
 
 
 # ---------------------------------------------------------------------------

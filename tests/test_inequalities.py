@@ -16,6 +16,7 @@ from framelab import (
     khintchine_check,
     khintchine_constant,
     operator_norm,
+    operator_norms,
     rudelson_check,
     scaled_onb_frame,
     schatten_norm,
@@ -52,38 +53,38 @@ def test_khintchine_constant_domain():
 
 def test_single_summand_expectation():
     a = np.array([[1.0, 2.0], [0.5, -1.0]])
-    assert exact_sign_expectation([a], operator_norm) == pytest.approx(operator_norm(a))
+    assert exact_sign_expectation([a], operator_norms) == pytest.approx(operator_norm(a))
 
 
 def test_two_equal_rank_one_summands():
     z = np.array([1.0, 2.0])
     zz = np.outer(z, z)
     # half the patterns give ||2 z(x)z|| = 2||z||^2, half give 0
-    val = exact_sign_expectation([zz, zz], operator_norm)
+    val = exact_sign_expectation([zz, zz], operator_norms)
     assert val == pytest.approx(float(z @ z), rel=1e-12)
 
 
 def test_enumeration_budget():
     mats = [np.eye(2)] * 21
     with pytest.raises(TooLarge):
-        exact_sign_expectation(mats, operator_norm)
+        exact_sign_expectation(mats, operator_norms)
 
 
 def test_mc_matches_exact_within_stderr():
     rng = np.random.default_rng(8)
     mats = rng.standard_normal((6, 4, 4))
-    exact = exact_sign_expectation(mats, operator_norm)
-    mean, se = sign_mc_expectation(mats, operator_norm, trials=4000, seed=21)
+    exact = exact_sign_expectation(mats, operator_norms)
+    mean, se = sign_mc_expectation(mats, operator_norms, trials=4000, seed=21)
     assert abs(mean - exact) <= 3 * se
 
 
 def test_mc_exact_agreement_over_seeds():
     rng = np.random.default_rng(17)
     mats = rng.standard_normal((5, 3, 3))
-    exact = exact_sign_expectation(mats, operator_norm)
+    exact = exact_sign_expectation(mats, operator_norms)
     hits = 0
     for seed in range(20):
-        mean, se = sign_mc_expectation(mats, operator_norm, trials=1500, seed=seed)
+        mean, se = sign_mc_expectation(mats, operator_norms, trials=1500, seed=seed)
         hits += abs(mean - exact) <= 3 * se
     assert hits >= 19
 
@@ -94,14 +95,14 @@ def test_global_negation_invariance(seed):
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 7))
     mats = rng.standard_normal((count, 3, 3))
-    a = exact_sign_expectation(mats, operator_norm)
-    b = exact_sign_expectation(-mats, operator_norm)
+    a = exact_sign_expectation(mats, operator_norms)
+    b = exact_sign_expectation(-mats, operator_norms)
     assert a == b
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
-        exact_sign_expectation([np.eye(2), np.eye(3)], operator_norm)
+        exact_sign_expectation([np.eye(2), np.eye(3)], operator_norms)
 
 
 # ---------------------------------------------------------------------------

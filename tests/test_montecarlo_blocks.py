@@ -7,8 +7,13 @@ Each estimator evaluates its trials in blocks of ``rng._BLOCK_TRIALS``
 samples: every estimate matches a per-trial reference loop written here that
 regenerates each trial on its own, the erasure errors are bit-identical
 across block sizes, and memory does not grow with the trial count.
+
+Exact modes run the same block kernels on the rows of ``rng.pattern_values``:
+row i holds the bits of i, and every exact average matches a loop over
+``itertools.product`` that takes one SVD or norm per pattern.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -19,15 +24,18 @@ from framelab import (
     SignEnsemble,
     circulant_dictionary,
     concentration_estimate,
+    contraction_check,
     deterministic_unit_vector,
+    exact_error_expectation,
     harmonic_frame,
     khintchine_check,
     mc_error_estimate,
+    operator_norms,
     regroup,
     rng,
     rudelson_check,
 )
-from framelab.erasure import _contributions, per_trial_errors
+from framelab.erasure import _contributions, _error_kernel, per_trial_errors
 from framelab.inequalities import sign_mc_expectation
 
 BLOCKS = [1, 7, rng._BLOCK_TRIALS]
@@ -159,7 +167,7 @@ def test_khintchine_matches_per_trial_loop(block, complex_mode):
 def test_sign_mc_expectation_matches_per_trial_loop(block):
     mats = np.random.default_rng(2).standard_normal((4, 3, 3))
     values = [top_singular_value(np.tensordot(signs(6, t, 4), mats, 1)) for t in range(30)]
-    mean, stderr = sign_mc_expectation(mats, top_singular_value, 30, 6)
+    mean, stderr = sign_mc_expectation(mats, operator_norms, 30, 6)
     assert mean == pytest.approx(mean_stderr(values)[0], rel=1e-12)
     assert stderr == pytest.approx(mean_stderr(values)[1], rel=1e-12)
 
@@ -175,6 +183,74 @@ def test_concentration_matches_per_trial_loop(block, distribution):
         devs.append(top_singular_value(np.tensordot(x, t_stack, 1)))
     est = concentration_estimate(t_stack, distribution, 30, 4)
     assert est.mean_dev == pytest.approx(float(np.mean(devs)), rel=1e-12)
+
+
+def sign_patterns(count):
+    return [np.array(eps) for eps in itertools.product((-1.0, 1.0), repeat=count)]
+
+
+@pytest.mark.parametrize("width", [0, 1, 5, 10])
+def test_pattern_rows_are_bits_of_their_index(block, width):
+    rows = []
+
+    def kernel(r):
+        rows.append(r.copy())
+        return np.zeros(len(r))
+
+    values = rng.pattern_values(width, 0, kernel)
+    rows = np.concatenate(rows)
+    assert values.shape == (1 << width,)
+    assert rows.dtype == np.float64
+    assert rows.tolist() == [[(i >> j) & 1 for j in range(width)] for i in range(1 << width)]
+
+
+def test_pattern_values_bit_identical_across_block_sizes(monkeypatch):
+    f = harmonic_frame(4, 12)
+    x = deterministic_unit_vector(4, 5)
+    runs, means = [], []
+    for size in BLOCKS:
+        monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
+        runs.append(rng.pattern_values(f.M, 32 * f.n, _error_kernel(f, x, 0.5)))
+        means.append(exact_error_expectation(f, x))
+    assert all(np.array_equal(runs[0], other) for other in runs[1:])
+    assert len(set(means)) == 1
+
+
+def test_exact_rudelson_matches_pattern_loop(block):
+    f = harmonic_frame(4, 10)
+    v = f.array
+    values = [top_singular_value((v * eps[None, :]) @ v.conj().T) for eps in sign_patterns(10)]
+    est = rudelson_check(f, SignEnsemble(count=10, exact=True))
+    assert est.lhs == pytest.approx(float(np.mean(values)), rel=1e-12)
+    assert est.lhs_stderr == 0.0 and est.trials == 1 << 10
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_exact_khintchine_matches_pattern_loop(block, m, complex_mode):
+    stream = np.random.default_rng(12)
+    family = stream.standard_normal((7, 3, 4))
+    if complex_mode:
+        family = family + 1j * stream.standard_normal((7, 3, 4))
+    powers = [float(np.sum(np.linalg.svd(np.tensordot(eps, family, 1),
+                                         compute_uv=False) ** (2 * m)))
+              for eps in sign_patterns(7)]
+    est = khintchine_check(family, m, SignEnsemble(count=7, exact=True))
+    assert est.lhs == pytest.approx(float(np.mean(powers)) ** (1.0 / (2 * m)), rel=1e-12)
+    assert est.lhs_stderr == 0.0 and est.trials == 1 << 7
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4)], ids=["vectors", "matrices"])
+def test_exact_contraction_matches_pattern_loop(block, shape):
+    stream = np.random.default_rng(9)
+    summands = stream.standard_normal((8, *shape))
+    x = stream.uniform(-1.0, 1.0, size=8)
+    norm = np.linalg.norm if len(shape) == 1 else top_singular_value
+    lhs = np.mean([norm(np.tensordot(eps * x, summands, 1)) for eps in sign_patterns(8)])
+    rhs = np.mean([norm(np.tensordot(eps, summands, 1)) for eps in sign_patterns(8)])
+    report = contraction_check(list(summands), x, 1.0)
+    assert report.lhs == pytest.approx(float(lhs), rel=1e-12)
+    assert report.rhs == pytest.approx(float(rhs), rel=1e-12)
 
 
 ESTIMATORS = {

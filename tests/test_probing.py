@@ -317,6 +317,15 @@ def test_circulant_n2_explicit():
     assert np.allclose(u[1], np.eye(2) / math.sqrt(2))
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_circulant_equals_stacked_shifts(n):
+    # U_j = P^j / sqrt(n), j = 1..n, written as shifted identities
+    shifts = np.stack([np.roll(np.eye(n), j, axis=0) for j in range(1, n + 1)]) / math.sqrt(n)
+    u = circulant_dictionary(n)
+    assert u.dtype == shifts.dtype and u.shape == shifts.shape
+    assert u.tobytes() == shifts.tobytes()
+
+
 def test_circulant_linearly_independent():
     for n in (2, 5, 8):
         u = circulant_dictionary(n)
