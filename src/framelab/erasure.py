@@ -95,15 +95,30 @@ def reconstruct(f: Frame, coeffs, mask: ErasureMask) -> np.ndarray:
         raise LengthMismatch(f"coeffs length {coeffs.shape} != M = {f.M}")
     if mask.M != f.M:
         raise LengthMismatch(f"mask length {mask.M} != M = {f.M}")
-    weight = 1.0 / (mask.keep_prob * f.M)
+    weight = _weight(mask.keep_prob, f.M)
     kept = mask.kept
     return weight * (f.array[:, kept] @ coeffs[kept])
+
+
+def _weight(keep_prob: float, M: int) -> float:
+    """The unbiased weight 1/(keep_prob * M), refused where it overflows.
+
+    A subnormal keep_prob such as 5e-324 passes the (0, 1] check but makes
+    the weight inf, and every reconstruction inf or NaN.
+    """
+    weight = 1.0 / (keep_prob * M)
+    if not math.isfinite(weight):
+        raise InvalidProbability(
+            f"keep_prob {keep_prob} makes the weight 1/(keep_prob * M) overflow at M = {M}"
+        )
+    return weight
 
 
 def _contributions(f: Frame, x, keep_prob: float) -> np.ndarray:
     """Per-coefficient reconstruction contributions: column j is c_j z_j/(q M)."""
     if f.normalization != RECON:
         raise OutOfRange("erasure experiments require a recon-normalized frame")
+    _weight(keep_prob, f.M)
     c = analysis_coefficients(f, x)
     return f.array * c[None, :] / (keep_prob * f.M)
 

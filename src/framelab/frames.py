@@ -10,8 +10,11 @@ Three families are built here:
   character table with a cyclic (N, M, 1)-difference set; their coherence
   meets the Welch bound sqrt((N-M)/(M(N-1))).
 
-Difference sets are found by ordered backtracking rather than algebraic
-construction; the search is exhaustive and deterministic at desk scale.
+Difference sets are built algebraically by Singer's construction from the
+field GF(q^3), q = M - 1 a prime power, in time polynomial in N, and put
+in a canonical form: the lexicographically smallest equivalent set
+containing 0.  Orders q that are not prime powers have no such set
+(Gordon, 1994) and are refused without a search.
 
 Two normalizations are carried explicitly. ``recon`` scales every vector
 to squared norm n so that x = (1/M) sum <z_j, x> z_j; ``unit`` scales to
@@ -21,6 +24,7 @@ the erasure experiments and the robustness certificates, hence the flag.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +40,8 @@ UNIT = "unit"
 # business of check_tight.
 _NORM_TOL = 1e-8
 
-# Ordered backtracking above this modulus is out of desk-scale budget.
-_SEARCH_LIMIT = 200
+# Frame-size budget: the largest modulus N, i.e. the number of ETF vectors.
+_N_LIMIT = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,55 +201,133 @@ def harmonic_frame(n: int, M: int, row_set=None, real: bool = False) -> Frame:
                  normalization=RECON, kind="harmonic")
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _mulmod(a: tuple, b: tuple, f: tuple, p: int) -> tuple:
+    """a * b in GF(p)[x] / (x^n + f), coefficients lowest degree first."""
+    n = len(f)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(2 * n - 2, n - 1, -1):   # x^k = x^(k-n) * (-f)
+        c = prod[k] % p
+        if c:
+            for j, fj in enumerate(f):
+                prod[k - n + j] -= c * fj
+    return tuple(c % p for c in prod[:n])
+
+
+def _powmod(a: tuple, k: int, f: tuple, p: int) -> tuple:
+    """a^k in GF(p)[x] / (x^n + f) by square and multiply."""
+    result = (1,) + (0,) * (len(f) - 1)
+    while k:
+        if k & 1:
+            result = _mulmod(result, a, f, p)
+        a = _mulmod(a, a, f, p)
+        k >>= 1
+    return result
+
+
+def _primitive_polynomial(p: int, n: int) -> tuple:
+    """Low coefficients f of the first primitive x^n + f over GF(p), n >= 2.
+
+    x has order p^n - 1 modulo x^n + f exactly when x^(p^n - 1) = 1 and
+    x^((p^n - 1)/r) != 1 for every prime r dividing p^n - 1; then every
+    nonzero residue is a power of x, so the quotient ring is the field
+    GF(p^n) and x generates its multiplicative group.
+    """
+    order = p ** n - 1
+    one = (1,) + (0,) * (n - 1)
+    x = (0, 1) + (0,) * (n - 2)
+    cofactors = [order // r for r in _prime_factors(order)]
+    # candidates by increasing sum f[j] p^j: sparse low-degree tails come first
+    candidates = (f[::-1] for f in itertools.product(range(p), repeat=n))
+    return next(f for f in candidates
+                if f[0] and _powmod(x, order, f, p) == one
+                and all(_powmod(x, k, f, p) != one for k in cofactors))
+
+
+def _singer_set(p: int, e: int) -> list[int]:
+    """Singer's (q^2+q+1, q+1, 1) difference set for q = p^e.
+
+    With g a primitive element of GF(q^3), the set is the exponents i mod
+    q^2+q+1 for which g^i lies in the kernel of the trace
+    Tr(y) = y + y^q + y^(q^2) from GF(q^3) to GF(q), a 2-dimensional
+    GF(q)-subspace.  Tr(g^i) is read off one antilog table as
+    g^i + g^(iq) + g^(iq^2), exponents taken mod q^3 - 1.
+    """
+    q, n = p ** e, 3 * e
+    f = _primitive_polynomial(p, n)
+    order = q ** 3 - 1
+    antilog = np.empty((order, n), dtype=np.int64)   # row k: coefficients of g^k, g = x
+    cur = [1] + [0] * (n - 1)
+    for k in range(order):
+        antilog[k] = cur
+        top = cur[-1]                  # g^(k+1) = x g^k: shift up, x^n -> -f
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [(c - top * fj) % p for c, fj in zip(cur, f)]
+    i = np.arange(q * q + q + 1)
+    trace = antilog[i] + antilog[i * q % order] + antilog[i * q * q % order]
+    return np.flatnonzero(~(trace % p).any(axis=1)).tolist()
+
+
 def find_difference_set(N: int, M: int) -> DifferenceSet:
     """Lexicographically smallest (N, M, 1) difference set containing 0.
 
-    Ordered backtracking: elements are chosen in increasing order and a
-    candidate is accepted only if all the new pairwise differences it
-    creates are still unused.  The first complete solution found is the
-    lexicographically smallest one.
+    A cyclic (N, M, 1) difference set has N = q^2 + q + 1 with order
+    q = M - 1.  For a prime power q the set is built by Singer's
+    construction (J. Singer, "A theorem in finite projective geometry and
+    some applications to number theory", Trans. AMS 43, 1938) and mapped
+    to the lexicographically smallest set containing 0 among its images
+    t*D + s (t a unit mod N).  Every cyclic planar difference set of
+    these small orders is such an image of the Singer set, so this is the
+    set an exhaustive lexicographic search finds; the tests check that
+    against ordered backtracking for every N <= 91.  No cyclic planar
+    difference set of an order q < 2,000,000 that is not a prime power
+    exists (D. M. Gordon, "The prime power conjecture is true for
+    n < 2,000,000", Electron. J. Combin. 1, 1994), so those orders raise
+    ``NoSuchSet`` at once.  The orders 0 and 1 give (1, 1) -> {0} and
+    (3, 2) -> {0, 1}.
     """
     if M * (M - 1) != N - 1:
         raise NoSuchSet(
             f"lambda=1 requires M(M-1) = N-1; got {M}*{M - 1} = {M * (M - 1)} != {N - 1}"
         )
-    if N > _SEARCH_LIMIT:
-        raise BudgetExceeded(f"difference-set search limited to N <= {_SEARCH_LIMIT}")
-    used = bytearray(N)  # used[d] = 1 when residue d already appears as a difference
-    chosen = [0]
-
-    def extend(start: int) -> bool:
-        if len(chosen) == M:
-            return True
-        # not enough residues left to fill the remaining slots
-        for cand in range(start, N - (M - len(chosen)) + 1):
-            new = []
-            ok = True
-            for d in chosen:
-                fwd = (cand - d) % N
-                bwd = (d - cand) % N
-                if used[fwd] or used[bwd] or fwd == bwd:
-                    ok = False
-                    break
-                new.append(fwd)
-                new.append(bwd)
-            if ok and len(set(new)) != len(new):
-                ok = False
-            if not ok:
-                continue
-            for d in new:
-                used[d] = 1
-            chosen.append(cand)
-            if extend(cand + 1):
-                return True
-            chosen.pop()
-            for d in new:
-                used[d] = 0
-        return False
-
-    if extend(1):
-        return DifferenceSet(N=N, elements=tuple(chosen), lam=1)
-    raise NoSuchSet(f"no (N={N}, M={M}, 1) difference set exists")
+    if N > _N_LIMIT:
+        raise BudgetExceeded(f"difference sets limited to N <= {_N_LIMIT}")
+    if M < 1:
+        raise NoSuchSet(f"no (N={N}, M={M}, 1) difference set exists")
+    q = M - 1
+    if q <= 1:
+        return DifferenceSet(N=N, elements=tuple(range(M)), lam=1)
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise NoSuchSet(f"no (N={N}, M={M}, 1) difference set: order {q} is not a prime power")
+    p = primes[0]
+    e = 1
+    while p ** e < q:
+        e += 1
+    D = _singer_set(p, e)
+    # an image t*D + s contains 0 exactly when s = -t*d0 for some d0 in D
+    best = min(tuple(sorted(t * (d - d0) % N for d in D))
+               for t in range(1, N) if math.gcd(t, N) == 1 for d0 in D)
+    return DifferenceSet(N=N, elements=best, lam=1)
 
 
 def difference_set_etf(ds: DifferenceSet, normalization: str = UNIT) -> Frame:

@@ -48,6 +48,17 @@ def test_nan_frame_exits_3(tmp_path, capsys, nan_frame, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_subnormal_keep_prob_exits_3_without_output(tmp_path, capsys):
+    frame = tmp_path / "h.json"
+    frame.write_text(json.dumps(harmonic_frame(4, 8).to_json_dict()))
+    out = tmp_path / "out.csv"
+    code, doc = run_cli(capsys, "erasure", "--frame", frame, "--trials", 10, "--seed", 0,
+                        "--keep-prob", "5e-324", "--csv", out)
+    assert code == 3
+    assert doc["error"] == "InvalidProbability"
+    assert not out.exists()
+
+
 def test_nonfinite_result_exits_3_without_output(tmp_path, capsys):
     lam = tmp_path / "lam.json"
     lam.write_text("[NaN, 1.0, 2.0]")

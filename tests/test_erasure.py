@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from framelab import (
     redundancy_sweep,
     scaled_onb_frame,
 )
+from framelab import erasure
 from framelab.erasure import analysis_coefficients, per_trial_errors
 from framelab.frames import renormalize, difference_set_etf, find_difference_set
 
@@ -166,6 +168,25 @@ def test_mc_deterministic():
     a = mc_error_estimate(f, x, trials=2000, seed=42)
     b = mc_error_estimate(f, x, trials=2000, seed=42)
     assert a == b  # bit-identical dataclass comparison
+
+
+def test_mc_rejects_subnormal_keep_prob_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(erasure.rng, "mc_values", no_trials)
+    x = deterministic_unit_vector(4, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a RuntimeWarning would fail the test
+        with pytest.raises(InvalidProbability, match="overflow"):
+            mc_error_estimate(harmonic_frame(4, 8), x, 10, 0, keep_prob=5e-324)
+
+
+def test_reconstruct_rejects_subnormal_keep_prob():
+    f = harmonic_frame(4, 8)
+    mask = ErasureMask(kept=np.ones(8, dtype=bool), keep_prob=5e-324)
+    with pytest.raises(InvalidProbability, match="overflow"):
+        reconstruct(f, analysis_coefficients(f, np.ones(4)), mask)
 
 
 def test_mc_rejects_small_dimension():

@@ -1,4 +1,6 @@
+import json
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +26,8 @@ from framelab import (
     scaled_onb_frame,
     welch_bound,
 )
+from framelab import frames
+from framelab.cli import main
 from framelab.frames import offdiagonal_gram_magnitudes
 
 
@@ -39,6 +43,50 @@ def brute_force_difference_set(N, M):
         if all(c == 1 for c in counts[1:]):
             return cand
     return None
+
+
+def backtracking_difference_set(N, M, node_budget=1_000_000):
+    """Oracle: ordered backtracking; the first complete set is the lexicographically smallest.
+
+    Elements are chosen in increasing order and a candidate is accepted only
+    if all the new pairwise differences it creates are still unused.  Raises
+    BudgetExceeded after ``node_budget`` candidates, since the search time
+    grows without a useful bound beyond N = 91.
+    """
+    used = bytearray(N)  # used[d] = 1 when residue d already appears as a difference
+    chosen = [0]
+    nodes = 0
+
+    def extend(start):
+        nonlocal nodes
+        if len(chosen) == M:
+            return True
+        # not enough residues left to fill the remaining slots
+        for cand in range(start, N - (M - len(chosen)) + 1):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(f"backtracking over {node_budget} candidates")
+            new = []
+            for d in chosen:
+                fwd = (cand - d) % N
+                bwd = (d - cand) % N
+                if used[fwd] or used[bwd] or fwd == bwd:
+                    break
+                new += (fwd, bwd)
+            else:
+                if len(set(new)) != len(new):
+                    continue
+                for d in new:
+                    used[d] = 1
+                chosen.append(cand)
+                if extend(cand + 1):
+                    return True
+                chosen.pop()
+                for d in new:
+                    used[d] = 0
+        return False
+
+    return tuple(chosen) if extend(1) else None
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +214,68 @@ def test_difference_property_validates(N, M):
     assert counts[1:] == [1] * (N - 1)
 
 
+# every (N, M) with M(M-1) = N-1, N <= 91 and prime-power order M-1
+ADMISSIBLE = [(1, 1), (3, 2), (7, 3), (13, 4), (21, 5), (31, 6), (57, 8), (73, 9), (91, 10)]
+
+
+@pytest.mark.parametrize("N,M", ADMISSIBLE)
+def test_singer_matches_backtracking(N, M):
+    assert find_difference_set(N, M).elements == backtracking_difference_set(N, M)
+
+
+def test_backtracking_oracle_is_budgeted():
+    with pytest.raises(BudgetExceeded):
+        backtracking_difference_set(91, 10, node_budget=1_000)
+
+
+@pytest.mark.parametrize("N,M", [(43, 7), (111, 11), (157, 13)])
+def test_non_prime_power_order_refused_without_search(N, M, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a construction was attempted")
+
+    monkeypatch.setattr(frames, "_primitive_polynomial", no_search)
+    monkeypatch.setattr(frames, "_singer_set", no_search)
+    with pytest.raises(NoSuchSet, match="not a prime power"):
+        find_difference_set(N, M)
+
+
+@pytest.mark.parametrize("N,M", [(133, 12), (183, 14)])
+def test_singer_beyond_backtracking_reach(N, M):
+    start = time.perf_counter()
+    ds = find_difference_set(N, M)
+    assert time.perf_counter() - start < 1.0
+    assert ds.elements[0] == 0 and ds.M == M
+    assert DifferenceSet(N=N, elements=ds.elements, lam=1).elements == ds.elements
+
+
+@pytest.mark.parametrize("N,M", [(1, 0), (3, -1), (7, -2), (13, -3)])
+def test_nonpositive_set_size_has_no_set(N, M):
+    with pytest.raises(NoSuchSet):
+        find_difference_set(N, M)
+
+
 def test_difference_set_type_rejects_fake():
     with pytest.raises(OutOfRange):
         DifferenceSet(N=7, elements=(0, 1, 2), lam=1)
+
+
+def _construct_etf(capsys, tmp_path, N, M):
+    code = main(["construct", "--kind", "etf", "--N", str(N), "--M", str(M),
+                 "--out", str(tmp_path / "etf.json")])
+    return code, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_cli_constructs_etf_183_14(tmp_path, capsys):
+    code, doc = _construct_etf(capsys, tmp_path, 183, 14)
+    assert code == 0
+    assert (doc["result"]["n"], doc["result"]["M"]) == (14, 183)
+
+
+def test_cli_non_prime_power_order_exits_3(tmp_path, capsys):
+    code, doc = _construct_etf(capsys, tmp_path, 111, 11)
+    assert code == 3
+    assert doc["error"] == "NoSuchSet"
+    assert not (tmp_path / "etf.json").exists()
 
 
 # ---------------------------------------------------------------------------
