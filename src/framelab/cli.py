@@ -12,6 +12,14 @@ the parameter name in kebab case), and :func:`validate` checks flags and
 config files alike against it, so every bad value exits 2 with the same
 ``ConfigInvalid`` document naming its ``field``.
 
+One writer, ``_json_bytes``, makes every JSON output file, and its bytes are
+``json.dumps(doc, sort_keys=True, allow_nan=False, indent=2) + "\\n"``.  With
+an indent ``json`` falls back to its pure-Python encoder, so a NumPy array in
+``doc`` (a frame's matrix entries, from ``Frame.json_fields``) skips it: the
+small skeleton is dumped with a placeholder string where the array was, and
+the array is rendered with one ``%`` over its ``tolist()`` into a layout of the
+same separators, after a vectorized finite check.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
 
@@ -38,6 +46,7 @@ from .frames import (
     Frame,
     RECON,
     UNIT,
+    check_tight,
     difference_set_etf,
     find_difference_set,
     harmonic_frame,
@@ -264,8 +273,63 @@ def _dumps(obj, **kwargs) -> str:
         raise NonFiniteEntry(f"non-finite value in JSON output: {exc}") from exc
 
 
-def _json_bytes(obj) -> bytes:
-    return (_dumps(obj, indent=2) + "\n").encode()
+_SLOT = "\0array {}"   # stands in for the i-th ndarray while the skeleton is dumped
+
+
+def _json_bytes(doc) -> bytes:
+    """The output file of ``doc``, an ndarray anywhere in it standing for its ``tolist()``.
+
+    The bytes are ``json.dumps(doc, sort_keys=True, allow_nan=False, indent=2)
+    + "\\n"``.  Each float64 ndarray is rendered by :func:`_render_array` and
+    spliced in where its slot string lies in the dumped skeleton.
+    """
+    arrays: list = []
+    text = _dumps(_skeleton(doc, arrays), indent=2)
+    slots = [json.dumps(_SLOT.format(i)) for i in range(len(arrays))]
+    pieces, done = [], 0
+    for at, i in sorted((text.index(slot), i) for i, slot in enumerate(slots)):
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        pieces += [text[done:at], _render_array(arrays[i], depth)]
+        done = at + len(slots[i])
+    pieces += [text[done:], "\n"]
+    return "".join(pieces).encode()
+
+
+def _skeleton(obj, arrays: list):
+    """``obj`` with each ndarray appended to ``arrays`` and replaced by its slot."""
+    if isinstance(obj, np.ndarray):
+        arrays.append(obj)
+        return _SLOT.format(len(arrays) - 1)
+    if isinstance(obj, dict):
+        return {key: _skeleton(value, arrays) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_skeleton(value, arrays) for value in obj]
+    return obj
+
+
+def _render_array(a: np.ndarray, depth: int) -> str:
+    """``json.dumps(a.tolist(), indent=2)`` nested ``depth`` levels deep.
+
+    One ``%`` fills a layout of the ``indent=2`` separators with the
+    ``float.__repr__`` of every entry, the text ``json`` writes for a float.
+    """
+    if a.dtype != np.float64:
+        raise TypeError(f"only float64 arrays are written, got {a.dtype}")
+    if not np.isfinite(a).all():
+        raise NonFiniteEntry("non-finite value in JSON output")
+    return _layout(a.shape, depth) % tuple(a.ravel().tolist())
+
+
+def _layout(shape: tuple, depth: int) -> str:
+    """The ``indent=2`` text of a nested list of ``shape``, ``%r`` for each number."""
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    item = _layout(shape[1:], depth + 1)
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * depth + "]"
 
 
 _EREPORT_FIELDS = ("n", "M", "keep_prob", "trials", "mean_error", "stderr",
@@ -341,8 +405,8 @@ def _run_construct(cfg: ExperimentConfig):
     norm = p.get("normalization")
     if norm is not None:
         f = renormalize(f, norm)
-    return _json_bytes(f.to_json_dict()), {"n": f.n, "M": f.M, "kind": f.kind,
-                                           "normalization": f.normalization}, {}
+    return _json_bytes(f.json_fields()), {"n": f.n, "M": f.M, "kind": f.kind,
+                                          "normalization": f.normalization}, {}
 
 
 def _run_erasure(cfg: ExperimentConfig):
@@ -351,13 +415,19 @@ def _run_erasure(cfg: ExperimentConfig):
     renormalized = f.normalization != RECON
     if renormalized:
         f = renormalize(f, RECON)
+    # the estimator is unbiased only for a tight frame: E y = (1/M) S x
+    tight = check_tight(f)
+    if not tight.passed:
+        raise ConfigInvalid(f"params.frame: not a tight frame, residual "
+                            f"{tight.residual:.3g} of alpha*S - I", field="params.frame")
     x = deterministic_unit_vector(f.n, cfg.seed)
     start = time.perf_counter()
     report = mc_error_estimate(f, x, p["trials"], cfg.seed, p["keep_prob"])
     counters = _trial_counters(report.trials, time.perf_counter() - start)
     return _erasure_csv([report]), {"mean_error": report.mean_error,
                                     "ratio": report.ratio,
-                                    "renormalized": renormalized}, counters
+                                    "renormalized": renormalized,
+                                    "tight_residual": tight.residual}, counters
 
 
 def _run_sweep(cfg: ExperimentConfig):
@@ -437,6 +507,7 @@ def _run_probe(cfg: ExperimentConfig):
     x = rng.substream(cfg.seed, rng.PROBE).integers(0, 2, size=n) * 2.0 - 1.0
     iso = check_scaled_isometry(regroup(family))
     round_ = probe_roundtrip(family, lam, x, cond_limit=p["cond_limit"])
+    lam_hat = np.atleast_1d(round_.lambda_hat)
     start = time.perf_counter()
     conc = concentration_estimate(regroup(family), p["dist"], p["trials"], cfg.seed)
     counters = _trial_counters(conc.trials, time.perf_counter() - start)
@@ -445,9 +516,8 @@ def _run_probe(cfg: ExperimentConfig):
         "family": p["family"],
         "isometry": {"max_residual": iso.max_residual, "passed": iso.passed},
         "roundtrip": {
-            "lambda": [float(v) for v in lam],
-            "lambda_hat": [[float(v.real), float(v.imag)]
-                           for v in np.atleast_1d(round_.lambda_hat)],
+            "lambda": lam,
+            "lambda_hat": np.stack((lam_hat.real, lam_hat.imag), axis=1),
             "rel_error": round_.rel_error,
             "cond": round_.cond,
         },

@@ -84,14 +84,18 @@ class Frame:
     def operator(self) -> np.ndarray:
         return frame_operator(self.vectors)
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
+        """:meth:`to_json_dict` with the matrix as :meth:`DenseMatrix.json_fields`."""
         return {
             "n": self.n,
             "M": self.M,
             "normalization": self.normalization,
             "kind": self.kind,
-            "matrix": self.vectors.to_json_dict(),
+            "matrix": self.vectors.json_fields(),
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.json_fields(), "matrix": self.vectors.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Frame":

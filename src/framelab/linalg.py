@@ -70,16 +70,25 @@ class DenseMatrix:
     def mode(self) -> str:
         return COMPLEX if np.iscomplexobj(self.data) else REAL
 
-    def to_json_dict(self) -> dict:
-        """Encode as {"rows", "cols", "mode", "entries": [[re, im], ...]} row-major."""
+    def json_fields(self) -> dict:
+        """:meth:`to_json_dict` with ``entries`` as a (rows*cols, 2) float64 array.
+
+        Row k holds the real and imaginary parts of entry k in row-major
+        order; a real matrix has imaginary parts 0.0.
+        """
         flat = self.data.ravel()
-        entries = [[float(v.real), float(v.imag)] for v in flat]
         return {
             "rows": self.rows,
             "cols": self.cols,
             "mode": self.mode,
-            "entries": entries,
+            "entries": np.stack((flat.real, flat.imag), axis=1),
         }
+
+    def to_json_dict(self) -> dict:
+        """Encode as {"rows", "cols", "mode", "entries": [[re, im], ...]} row-major."""
+        doc = self.json_fields()
+        doc["entries"] = doc["entries"].tolist()
+        return doc
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DenseMatrix":

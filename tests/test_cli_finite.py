@@ -48,6 +48,30 @@ def test_nan_frame_exits_3(tmp_path, capsys, nan_frame, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_erasure_refuses_a_frame_that_is_not_tight(tmp_path, capsys):
+    # unit columns e1, e1, e2: S = diag(2, 1), so alpha*S - I has norm 1/3
+    cols = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    frame = tmp_path / "loose.json"
+    frame.write_text(json.dumps(Frame(n=2, M=3, vectors=DenseMatrix(cols),
+                                      normalization="unit").to_json_dict()))
+    out = tmp_path / "out.csv"
+    code, doc = run_cli(capsys, "erasure", "--frame", frame, "--trials", 10, "--seed", 0,
+                        "--csv", out)
+    assert code == 2
+    assert doc["error"] == "ConfigInvalid"
+    assert doc["field"] == "params.frame"
+    assert not out.exists()
+
+
+def test_erasure_reports_the_tightness_residual(tmp_path, capsys):
+    frame = tmp_path / "h.json"
+    frame.write_text(json.dumps(harmonic_frame(4, 12).to_json_dict()))
+    code, manifest = run_cli(capsys, "erasure", "--frame", frame, "--trials", 10,
+                             "--seed", 0, "--csv", tmp_path / "out.csv")
+    assert code == 0
+    assert 0.0 <= manifest["result"]["tight_residual"] <= 1e-10
+
+
 def test_subnormal_keep_prob_exits_3_without_output(tmp_path, capsys):
     frame = tmp_path / "h.json"
     frame.write_text(json.dumps(harmonic_frame(4, 8).to_json_dict()))
