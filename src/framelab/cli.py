@@ -458,6 +458,7 @@ def _run_ner(cfg: ExperimentConfig):
     scan_s = time.perf_counter() - start
     # stdout only: the certificate file stays byte-identical across reruns
     counters = {"subsets_examined": cert.subsets_examined,
+                "subsets_svd": cert.subsets_svd,
                 "subsets_per_s": _per_s(cert.subsets_examined, scan_s)}
     return _json_bytes(doc), doc, counters
 
@@ -597,10 +598,11 @@ _COMMANDS: dict[str, Command] = {
 def run(cfg: ExperimentConfig) -> dict:
     """Execute one validated command and return its manifest.
 
-    ``counters`` reports the work done: subsets examined and the scan rate
-    for ``ner``; Monte Carlo trials and the trial rate for ``erasure``,
-    ``sweep``, ``rudelson``, ``khintchine`` (Monte Carlo mode) and ``probe``
-    (its concentration estimate).  It is empty for the other commands.
+    ``counters`` reports the work done: subsets examined, subsets sent to
+    the exact SVD and the scan rate for ``ner``; Monte Carlo trials and the
+    trial rate for ``erasure``, ``sweep``, ``rudelson``, ``khintchine``
+    (Monte Carlo mode) and ``probe`` (its concentration estimate).  It is
+    empty for the other commands.
     ``env`` names what the results depend on besides the config: the Python
     and NumPy versions and the Monte Carlo stream version.
     """

@@ -17,13 +17,15 @@ class RankDeficient(FramelabError):
     """Smallest singular value is below the rank threshold.
 
     Carries the offending column subset when raised during submatrix scans,
-    and ``examined``, the number of subsets scanned up to and including it.
+    ``examined``, the number of subsets scanned up to and including it, and
+    ``subsets_svd``, the number of those the scan sent to the exact SVD.
     """
 
-    def __init__(self, message, subset=None, examined=None):
+    def __init__(self, message, subset=None, examined=None, subsets_svd=None):
         super().__init__(message)
         self.subset = subset
         self.examined = examined
+        self.subsets_svd = subsets_svd
 
 
 class ShapeMismatch(FramelabError):

@@ -41,7 +41,7 @@ UNIT = "unit"
 _NORM_TOL = 1e-8
 
 # Frame-size budget: the largest modulus N, i.e. the number of ETF vectors.
-_N_LIMIT = 200
+_N_LIMIT = 1000
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from framelab import ConfigInvalid, DenseMatrix, Frame, circulant_dictionary, harmonic_frame
+from framelab import (ConfigInvalid, DenseMatrix, Frame, circulant_dictionary, harmonic_frame,
+                      worst_condition)
 from framelab.cli import main, validate
 
 
@@ -272,6 +273,40 @@ def test_refuted_certificate_counters(tmp_path, capsys):
     # (0, 1) is the first subset in lexicographic order, and deficient
     assert manifest["counters"]["subsets_examined"] == 1
     assert json.loads(out.read_text())["certificate"]["subsets_examined"] == 1
+
+
+def test_ner_reports_subsets_sent_to_the_svd(tmp_path, capsys):
+    frame = tmp_path / "etf.json"
+    run_cli(capsys, "construct", "--kind", "etf", "--N", 13, "--M", 4, "--out", frame)
+    out = tmp_path / "cert.json"
+    code, manifest = run_cli(capsys, "ner", "--frame", frame, "--K", 8, "--json", out)
+    assert code == 0
+    counters = manifest["counters"]
+    assert counters["subsets_examined"] == 1287
+    # the Gram screen spares the SVD most subsets of an ETF
+    cert = worst_condition(Frame.from_json_dict(json.loads(frame.read_text())), 8)
+    assert counters["subsets_svd"] == cert.subsets_svd
+    assert 1 <= counters["subsets_svd"] < counters["subsets_examined"] // 10
+    # stdout only: the certificate file is what it was without the counter
+    assert json.loads(out.read_text()) == {"certificate": cert.to_json_dict()}
+    assert "subsets_svd" not in cert.to_json_dict()
+
+
+def test_refuted_certificate_counts_svd_subsets_up_to_the_deficient_one(tmp_path, capsys):
+    # columns e1, (0.6, 0.8), e2, e2, (0.28, 0.96): the pairs' conditions run
+    # 2, 1, 1, 4/3, 3, 3, 5.5, then (2, 3) is rank deficient, and (2, 4) and
+    # (3, 4) hold the chunk's top trusted estimate, 7.  Of the 8 subsets up to
+    # (2, 3) the SVD saw only (2, 3), which the screen cannot trust.
+    cols = np.array([[1.0, 0.6, 0.0, 0.0, 0.28], [0.0, 0.8, 1.0, 1.0, 0.96]])
+    frame = tmp_path / "dup.json"
+    frame.write_text(json.dumps(Frame(n=2, M=5, vectors=DenseMatrix(cols),
+                                      normalization="unit").to_json_dict()))
+    code, manifest = run_cli(capsys, "ner", "--frame", frame, "--K", 2, "--C", 5,
+                             "--json", tmp_path / "cert.json")
+    assert code == 0
+    assert manifest["result"]["passed"] is False
+    assert manifest["counters"]["subsets_examined"] == 8
+    assert manifest["counters"]["subsets_svd"] == 1
 
 
 @pytest.mark.parametrize("argv, trials", [

@@ -199,8 +199,9 @@ def test_find_difference_set_infeasible_arithmetic():
 
 
 def test_find_difference_set_budget():
+    # order 32 = 2**5 is a prime power, so only the N <= 1000 budget refuses it
     with pytest.raises(BudgetExceeded):
-        find_difference_set(421, 21)
+        find_difference_set(1057, 33)
 
 
 @pytest.mark.parametrize("N,M", [(7, 3), (13, 4), (21, 5), (31, 6), (57, 8)])

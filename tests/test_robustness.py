@@ -319,6 +319,127 @@ def test_refuted_certificate_counts_subsets_up_to_the_deficient_one(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# the Gram-eigenvalue screen in front of the SVD
+# ---------------------------------------------------------------------------
+
+CHUNKS = (1, 7, robustness._SCAN_CHUNK)
+
+
+def scan_outcome(f, K, mode, samples, seed):
+    """The batched scan's certificate, or its first rank-deficient subset."""
+    try:
+        cert = worst_condition(f, K, mode=mode, samples=samples, seed=seed)
+    except RankDeficient as exc:
+        return "deficient", exc.subset, exc.examined
+    assert 1 <= cert.subsets_svd <= cert.subsets_examined
+    return cert.worst_cond, cert.worst_subset
+
+
+def reference_outcome(f, K, mode, samples, seed):
+    """:func:`per_subset_scan` in the form of :func:`scan_outcome`."""
+    try:
+        return per_subset_scan(f, K, mode, samples, seed)
+    except RankDeficient as exc:
+        if mode == "exhaustive":
+            order = list(combinations(range(f.M), K))
+        else:
+            order = sampled_draws(seed, f.M, K, samples)
+        return "deficient", exc.subset, order.index(exc.subset) + 1
+
+
+@st.composite
+def small_frames(draw):
+    """Unit-norm random frames, N <= 10, with some columns pulled near others.
+
+    A near-copy at distance 1e-14 to 1e-2 (or an exact copy) gives subsets
+    whose Gram estimate the screen trusts, does not trust, or that are rank
+    deficient.
+    """
+    n = draw(st.integers(1, 4))
+    M = draw(st.integers(n, 10))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = gen.standard_normal((n, M))
+    if not draw(st.booleans()):
+        v = v + 1j * gen.standard_normal((n, M))
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.integers(0, M - 1)), draw(st.integers(0, M - 1))
+        eps = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-7, 1e-4, 1e-2]))
+        v[:, dst] = v[:, src] + eps * v[:, dst]
+    v = v / np.linalg.norm(v, axis=0)
+    return Frame(n=n, M=M, vectors=DenseMatrix(v), normalization="unit")
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=small_frames(), data=st.data())
+def test_screened_scan_equals_per_subset_scan(f, data):
+    # bit-identical to one SVD per subset, in both modes and at every chunk size
+    K = data.draw(st.integers(f.n, f.M))
+    seed = data.draw(st.integers(0, 1000))
+    for mode, samples in (("exhaustive", 0), ("sampled", 40)):
+        expected = reference_outcome(f, K, mode, samples, seed)
+        for chunk in CHUNKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(robustness, "_SCAN_CHUNK", chunk)
+                assert scan_outcome(f, K, mode, samples, seed) == expected, (mode, chunk)
+
+
+def unit_vectors_at(angles, phases=None):
+    """Unit vectors of the plane at ``angles``, times unimodular ``phases``.
+
+    Two of them at angle phi form a submatrix with singular values
+    sqrt(1 +- cos phi), so its condition number is cot(phi / 2).
+    """
+    v = np.stack([np.cos(angles), np.sin(angles)])
+    if phases is not None:
+        v = v * np.exp(1j * np.asarray(phases))[None, :]
+    return Frame(n=2, M=len(angles), vectors=DenseMatrix(v), normalization="unit")
+
+
+def test_screen_tops_trusted_estimates_only():
+    # conditions 999 for (0, 1), 1001 for (0, 2) and about 500 for (1, 2):
+    # they straddle 1/sqrt(_SCREEN_FLOOR) = 1000, so (0, 1) is trusted and is
+    # the top trusted estimate, while (0, 2) is not trusted
+    f = unit_vectors_at(np.array([0.0, 2 * math.atan(1 / 999), -2 * math.atan(1 / 1001)]))
+    conds = {s: submatrix_condition(f, s) for s in combinations(range(3), 2)}
+    assert conds[(1, 2)] < conds[(0, 1)] < 1 / math.sqrt(robustness._SCREEN_FLOOR)
+    assert 1 / math.sqrt(robustness._SCREEN_FLOOR) < conds[(0, 2)]
+    block = np.moveaxis(f.array[:, np.array([(0, 1), (0, 2), (1, 2)])], 1, 0)
+    # the untrusted estimate is larger, yet the trusted top still goes to the SVD
+    assert robustness._needs_svd(block).tolist() == [True, True, False]
+    for chunk in CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustness, "_SCAN_CHUNK", chunk)
+            cert = worst_condition(f, 2)
+        assert (cert.worst_cond, cert.worst_subset) == per_subset_scan(f, 2)
+        assert cert.worst_subset == (0, 2)
+    assert worst_condition(f, 2).subsets_svd == 2   # (0, 1) and (0, 2)
+    # without the untrusted pair the trusted (0, 1) is the maximum
+    g = unit_vectors_at(np.array([0.0, 2 * math.atan(1 / 999), -1.0]))
+    cert = worst_condition(g, 2)
+    assert (cert.worst_cond, cert.worst_subset) == per_subset_scan(g, 2)
+    assert cert.worst_subset == (0, 1)
+    assert cert.worst_cond == submatrix_condition(g, (0, 1))
+
+
+@pytest.mark.parametrize("complex_phases", [False, True])
+def test_screen_sends_an_ill_conditioned_worst_subset_to_the_svd(complex_phases):
+    # columns 1 and 2 are 2e-10 apart: condition about 1e10, far past what the
+    # Gram eigenvalues resolve, yet not rank deficient at RANK_TOL
+    angles = np.array([0.0, 0.7, 0.7 + 2 * math.atan(1e-10), 1.6, 2.4, 3.0])
+    phases = np.linspace(0.0, 5.0, 6) if complex_phases else None
+    f = unit_vectors_at(angles, phases)
+    expected = per_subset_scan(f, 2)
+    assert expected[1] == (1, 2)
+    assert 1e9 < expected[0] < 1e11
+    for chunk in CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustness, "_SCAN_CHUNK", chunk)
+            cert = worst_condition(f, 2)
+        assert (cert.worst_cond, cert.worst_subset) == expected
+    assert certify(f, C=1e11, K=2).passed
+
+
+# ---------------------------------------------------------------------------
 # bound inversion
 # ---------------------------------------------------------------------------
 
