@@ -250,12 +250,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: str, data: bytes) -> str:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framelab-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

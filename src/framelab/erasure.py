@@ -14,15 +14,22 @@ E ||x - y|| is compared against the redundancy scale
 
 reported as the dimensionless ratio mean_error / (epsilon * ||x||).
 
-Both estimators run one mask kernel on the block loop of ``rng``: exact
-enumeration feeds it all 2^M equiprobable masks (M <= ``rng.ENUM_LIMIT``,
-keep_prob = 1/2) from ``rng.pattern_values``, and seeded Monte Carlo feeds it
-the masks u < keep_prob from ``rng.mc_values``, u being trial t's own row of
-the ``MASK`` stream.  The kernel reconstructs a block's masks by one stacked
-(B, 1, M) @ (M, 2n) real-view matmul and takes each error as a stacked dot
-product.  Each mask gets the same BLAS calls whatever block it lands in, so
-its error is bit-identical across block sizes; against a per-mask loop it
-moves only by rounding (about 1e-15 relative).
+Exact enumeration (M <= ``rng.ENUM_LIMIT``, keep_prob = 1/2) averages over
+all 2^M equiprobable masks by meet in the middle (Horowitz and Sahni, J. ACM
+1974): y is linear in the mask, so with lo = M // 2 every error is
+||low[i] - high[h]||, low holding x minus the 2^lo partial sums of the first
+lo contributions and high the 2^(M - lo) partial sums of the rest.  The
+errors are taken by broadcasting over a fixed partition of high into blocks
+of about 256 KB of scratch and summed block by block in order, so no array of
+2^M errors is built; against the per-mask kernel the mean moves only by
+rounding (about 1e-15 relative).
+
+Seeded Monte Carlo runs a mask kernel on the block loop of ``rng``: it feeds
+it the masks u < keep_prob from ``rng.mc_values``, u being trial t's own row
+of the ``MASK`` stream.  The kernel reconstructs a block's masks by one
+stacked (B, 1, M) @ (M, 2n) real-view matmul and takes each error as a stacked
+dot product.  Each mask gets the same BLAS calls whatever block it lands in,
+so its error is bit-identical across block sizes.
 """
 
 from __future__ import annotations
@@ -140,12 +147,30 @@ def _error_kernel(f: Frame, x, keep_prob: float):
     return kernel
 
 
+# Scratch of one block of the exact enumeration's differences low[i] - high[h].
+# The blocks are summed as they come, so no array of all 2^M errors is built.
+_EXACT_BLOCK_BYTES = 1 << 18
+
+
 def exact_error_expectation(f: Frame, x) -> float:
-    """Exact E ||x - y|| at keep_prob 1/2 by enumerating all 2^M masks."""
+    """Exact E ||x - y|| at keep_prob 1/2 over all 2^M masks, by meet in the middle.
+
+    Mask i + 2^lo h keeps coefficient j < lo where bit j of i is set and
+    coefficient lo + j where bit j of h is set; its error is ||low[i] - high[h]||.
+    """
     if f.M > rng.ENUM_LIMIT:
         raise TooLarge(f"exact enumeration limited to M <= {rng.ENUM_LIMIT}, got {f.M}")
-    # scratch per mask: y and x - y
-    return float(np.mean(rng.pattern_values(f.M, 32 * f.n, _error_kernel(f, x, 0.5))))
+    b = _contributions(f, x, 0.5)
+    cols = _real_view(np.ascontiguousarray(b.T))        # (M, n or 2n)
+    lo = f.M // 2
+    low = _real_view(np.asarray(x, dtype=b.dtype)) - rng.pattern_rows(lo) @ cols[:lo]
+    high = rng.pattern_rows(f.M - lo) @ cols[lo:]
+    step = max(1, _EXACT_BLOCK_BYTES // low.nbytes)
+    total = 0.0
+    for start in range(0, len(high), step):
+        d = low[None, :, :] - high[start:start + step, None, :]
+        total += float(np.sum(np.sqrt(np.einsum("hik,hik->hi", d, d))))
+    return total / (1 << f.M)
 
 
 def per_trial_errors(f: Frame, x, trials: int, seed: int,

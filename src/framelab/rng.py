@@ -112,12 +112,17 @@ def pattern_values(width, row_bytes, kernel) -> np.ndarray:
     maps a block's (B, width) rows to its B values and needs ``row_bytes`` of
     scratch per row, on top of the rows' own (indices, bits and floats).
     """
-    bits = np.arange(width)
+    return _block_values(1 << width, row_bytes + 24 * width,
+                         lambda start, stop: pattern_rows(width, start, stop), kernel)
 
-    def rows(start, stop):
-        return ((np.arange(start, stop)[:, None] >> bits) & 1).astype(np.float64)
 
-    return _block_values(1 << width, row_bytes + 24 * width, rows, kernel)
+def pattern_rows(width, start=0, stop=None) -> np.ndarray:
+    """Float64 0/1 rows of patterns [start, stop), all 2^width by default.
+
+    Row i holds the bits of i, bit j in column j.
+    """
+    stop = 1 << width if stop is None else stop
+    return ((np.arange(start, stop)[:, None] >> np.arange(width)) & 1).astype(np.float64)
 
 
 def mean_stderr(values) -> tuple[float, float]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from framelab import (
     InvalidDimension,
+    NonFiniteEntry,
     OutOfRange,
     ShapeMismatch,
     SignEnsemble,
@@ -22,7 +23,7 @@ from framelab import (
     schatten_norm,
     stirling_bound_check,
 )
-from framelab.inequalities import sign_mc_expectation
+from framelab.inequalities import _schatten_powers, sign_mc_expectation
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,25 @@ def test_khintchine_mc_mode():
     mc = khintchine_check(mats, 2, SignEnsemble(count=6, trials=3000, seed=9))
     assert not mc.exact
     assert abs(mc.lhs - exact.lhs) <= 4 * mc.lhs_stderr + 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("shape", [(5, 3, 4), (5, 4, 3)], ids=["wide", "tall"])
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_schatten_powers_match_singular_values(m, shape, complex_mode):
+    stream = np.random.default_rng(m)
+    stack = stream.standard_normal(shape)
+    if complex_mode:
+        stack = stack + 1j * stream.standard_normal(shape)
+    want = np.sum(np.linalg.svd(stack, compute_uv=False) ** (2 * m), axis=1)
+    assert _schatten_powers(stack, m) == pytest.approx(want, rel=1e-12)
+
+
+def test_schatten_powers_refuse_nan():
+    stack = np.ones((2, 3, 3))
+    stack[1, 0, 2] = np.nan
+    with pytest.raises(NonFiniteEntry):
+        _schatten_powers(stack, 2)
 
 
 def test_khintchine_count_mismatch():

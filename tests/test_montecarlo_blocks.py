@@ -8,9 +8,12 @@ samples: every estimate matches a per-trial reference loop written here that
 regenerates each trial on its own, the erasure errors are bit-identical
 across block sizes, and memory does not grow with the trial count.
 
-Exact modes run the same block kernels on the rows of ``rng.pattern_values``:
-row i holds the bits of i, and every exact average matches a loop over
-``itertools.product`` that takes one SVD or norm per pattern.
+Exact sign modes run the same block kernels on the rows of
+``rng.pattern_values``: row i holds the bits of i, and every exact average
+matches a loop over ``itertools.product`` that takes one SVD or norm per
+pattern.  The exact erasure average is taken by meet in the middle instead;
+it matches the mask kernel run on all 2^M rows, and never holds the 2^M
+errors.
 """
 
 import itertools
@@ -214,6 +217,34 @@ def test_pattern_values_bit_identical_across_block_sizes(monkeypatch):
         means.append(exact_error_expectation(f, x))
     assert all(np.array_equal(runs[0], other) for other in runs[1:])
     assert len(set(means)) == 1
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("real", [False, True], ids=["complex_frame", "real_frame"])
+@pytest.mark.parametrize("input_kind", ["real", "complex", "zero"])
+def test_meet_in_the_middle_matches_the_mask_kernel(M, real, input_kind):
+    n = min(3, (M + 1) // 2)
+    f = harmonic_frame(n, M, real=real)
+    x = deterministic_unit_vector(n, M)
+    if input_kind == "complex":
+        x = x + 1j * deterministic_unit_vector(n, M + 1)
+    elif input_kind == "zero":
+        x = np.zeros(n)
+    want = float(np.mean(rng.pattern_values(M, 32 * n, _error_kernel(f, x, 0.5))))
+    assert exact_error_expectation(f, x) == pytest.approx(want, rel=1e-13)
+
+
+def test_exact_expectation_keeps_no_array_of_all_masks():
+    # 2^20 errors alone would take 8 MB; the two half tables take 64 KB each
+    f = harmonic_frame(4, 20)
+    x = deterministic_unit_vector(4, 2012)
+    tracemalloc.start()
+    try:
+        exact_error_expectation(f, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_exact_rudelson_matches_pattern_loop(block):

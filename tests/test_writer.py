@@ -7,6 +7,8 @@ expression.
 """
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -152,3 +154,20 @@ def test_nonfinite_frame_exits_3_without_output(tmp_path, capsys, monkeypatch, v
     assert code == 3
     assert doc["error"] == "NonFiniteEntry"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_files_take_the_umask_mode(tmp_path, capsys):
+    # the file is written to a temporary name (mkstemp, mode 0600) and moved
+    # into place; both a new and a rewritten output get 0666 & ~umask
+    out = tmp_path / "frame.json"
+    argv = ["construct", "--kind", "harmonic", "--n", "2", "--M", "4", "--out", str(out)]
+    old = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+        new_mode = stat.S_IMODE(out.stat().st_mode)
+        assert main(argv) == 0
+        rewritten_mode = stat.S_IMODE(out.stat().st_mode)
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert (new_mode, rewritten_mode) == (0o644, 0o644)
