@@ -86,7 +86,6 @@ from .probing import (
     probe_roundtrip,
     recover_coefficients,
     regroup,
-    tuned_schatten_order,
 )
 
 __version__ = "0.2.0"

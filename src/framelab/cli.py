@@ -35,7 +35,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -108,12 +108,7 @@ class ExperimentConfig:
     output: str | None
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "params": dict(self.params),
-            "output": self.output,
-        }
+        return asdict(self)
 
 
 def _as_int(value) -> int:
@@ -514,11 +509,12 @@ def _run_probe(cfg: ExperimentConfig):
             raise ConfigInvalid(f"params.{name}: shape {value.shape}, need {shape}",
                                 field=f"params.{name}")
     x = rng.substream(cfg.seed, rng.PROBE).integers(0, 2, size=n) * 2.0 - 1.0
-    iso = check_scaled_isometry(regroup(family))
+    t = regroup(family)
+    iso = check_scaled_isometry(t)
     round_ = probe_roundtrip(family, lam, x, cond_limit=p["cond_limit"])
     lam_hat = np.atleast_1d(round_.lambda_hat)
     start = time.perf_counter()
-    conc = concentration_estimate(regroup(family), p["dist"], p["trials"], cfg.seed)
+    conc = concentration_estimate(t, p["dist"], p["trials"], cfg.seed)
     counters = _trial_counters(conc.trials, time.perf_counter() - start)
     doc = {
         "n": n,
@@ -566,7 +562,7 @@ _COMMANDS: dict[str, Command] = {
     "erasure": Command((_FRAME, _TRIALS, _KEEP_PROB),
                        "--csv", output_required=True, seeded=True, runner=_run_erasure),
     "sweep": Command((
-        Param("n", "int", required=True, ge=1),
+        Param("n", "int", required=True, ge=2),
         Param("M_list", "int_list", required=True),
         _TRIALS,
         _KEEP_PROB,
@@ -589,7 +585,7 @@ _COMMANDS: dict[str, Command] = {
         Param("exact", "bool", default=False),
     ), "--json", output_required=False, seeded=True, runner=_run_khintchine),
     "probe": Command((
-        Param("n", "int", required=True, ge=1),
+        Param("n", "int", required=True, ge=2),
         Param("family", "str", default="circulant", choices=("circulant", "file")),
         Param("family_file", "str"),
         Param("dist", "str", default=RADEMACHER, choices=(RADEMACHER, UNIFORM)),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRowSet, NoSuchSet, OutOfRange, ShapeMismatch, BudgetExceeded
-from .linalg import DenseMatrix, frame_operator, gram_matrix, operator_norm
+from .linalg import DenseMatrix, _json_int, frame_operator, gram_matrix, operator_norm
 
 RECON = "recon"
 UNIT = "unit"
@@ -103,8 +103,8 @@ class Frame:
         if not isinstance(obj, dict) or set(obj) != required:
             raise ValueError(f"frame JSON must have keys {sorted(required)}")
         return cls(
-            n=obj["n"],
-            M=obj["M"],
+            n=_json_int(obj, "n"),
+            M=_json_int(obj, "M"),
             vectors=DenseMatrix.from_json_dict(obj["matrix"]),
             normalization=obj["normalization"],
             kind=obj["kind"],
@@ -113,15 +113,14 @@ class Frame:
 
 @dataclass(frozen=True)
 class DifferenceSet:
-    """A cyclic (N, M, lambda) difference set.
+    """A cyclic (N, M, 1) difference set.
 
-    Every nonzero residue mod N occurs exactly ``lam`` times among the
-    pairwise differences d_i - d_j (i != j).  Validated on construction.
+    Every nonzero residue mod N occurs exactly once among the pairwise
+    differences d_i - d_j (i != j).  Validated on construction.
     """
 
     N: int
     elements: tuple[int, ...]
-    lam: int = 1
 
     def __post_init__(self):
         elems = tuple(sorted(int(d) for d in self.elements))
@@ -135,10 +134,8 @@ class DifferenceSet:
             for j, b in enumerate(elems):
                 if i != j:
                     counts[(a - b) % self.N] += 1
-        if any(c != self.lam for c in counts[1:]):
-            raise OutOfRange(
-                f"not a (N={self.N}, M={len(elems)}, lambda={self.lam}) difference set"
-            )
+        if any(c != 1 for c in counts[1:]):
+            raise OutOfRange(f"not a (N={self.N}, M={len(elems)}, 1) difference set")
 
     @property
     def M(self) -> int:
@@ -319,7 +316,7 @@ def find_difference_set(N: int, M: int) -> DifferenceSet:
         raise NoSuchSet(f"no (N={N}, M={M}, 1) difference set exists")
     q = M - 1
     if q <= 1:
-        return DifferenceSet(N=N, elements=tuple(range(M)), lam=1)
+        return DifferenceSet(N=N, elements=tuple(range(M)))
     primes = _prime_factors(q)
     if len(primes) != 1:
         raise NoSuchSet(f"no (N={N}, M={M}, 1) difference set: order {q} is not a prime power")
@@ -331,39 +328,34 @@ def find_difference_set(N: int, M: int) -> DifferenceSet:
     # an image t*D + s contains 0 exactly when s = -t*d0 for some d0 in D
     best = min(tuple(sorted(t * (d - d0) % N for d in D))
                for t in range(1, N) if math.gcd(t, N) == 1 for d0 in D)
-    return DifferenceSet(N=N, elements=best, lam=1)
+    return DifferenceSet(N=N, elements=best)
 
 
-def difference_set_etf(ds: DifferenceSet, normalization: str = UNIT) -> Frame:
+def difference_set_etf(ds: DifferenceSet) -> Frame:
     """Equiangular tight frame from a cyclic (N, M, 1) difference set.
 
     The frame matrix is M x N with F[m, k] = omega**(d_m * k) / sqrt(M),
     omega = exp(2*pi*i/N): rows of the N-point character table indexed by
     the difference set, columns normalized.  The result is tight
     (F F* = (N/M) I) and equiangular with coherence sqrt(M-1)/M, which
-    equals the Welch bound for N vectors in dimension M.
+    equals the Welch bound for N vectors in dimension M.  The frame is
+    ``unit`` normalized; :func:`renormalize` gives the ``recon`` one.
     """
     d = np.asarray(ds.elements)[:, None]
     k = np.arange(ds.N)[None, :]
     cols = np.exp(2j * np.pi * (d * k) / ds.N) / math.sqrt(ds.M)
-    if normalization == RECON:
-        cols = cols * math.sqrt(ds.M)
-    elif normalization != UNIT:
-        raise OutOfRange(f"unknown normalization {normalization!r}")
     return Frame(n=ds.M, M=ds.N, vectors=DenseMatrix(cols),
-                 normalization=normalization, kind="etf")
+                 normalization=UNIT, kind="etf")
 
 
 def renormalize(f: Frame, normalization: str) -> Frame:
-    """Rescale all frame vectors to the requested normalization."""
+    """Rescale all frame vectors to the requested normalization.
+
+    An unknown ``normalization`` is refused by the :class:`Frame` it builds.
+    """
     if normalization == f.normalization:
         return f
-    if normalization == RECON:
-        scale = math.sqrt(f.n)
-    elif normalization == UNIT:
-        scale = 1.0 / math.sqrt(f.n)
-    else:
-        raise OutOfRange(f"unknown normalization {normalization!r}")
+    scale = math.sqrt(f.n) if normalization == RECON else 1.0 / math.sqrt(f.n)
     return Frame(n=f.n, M=f.M, vectors=DenseMatrix(f.array * scale),
                  normalization=normalization, kind=f.kind)
 
@@ -390,15 +382,6 @@ def coherence(f: Frame) -> float:
     scaled = np.abs(g) / np.outer(norms, norms)
     np.fill_diagonal(scaled, 0.0)
     return float(np.max(scaled))
-
-
-def offdiagonal_gram_magnitudes(f: Frame) -> np.ndarray:
-    """All |<f_k, f_l>|, k < l, normalized; equiangularity witness."""
-    g = gram_matrix(f.vectors)
-    norms = np.sqrt(np.real(np.diag(g)))
-    scaled = np.abs(g) / np.outer(norms, norms)
-    iu = np.triu_indices(f.M, k=1)
-    return scaled[iu]
 
 
 def welch_bound(n: int, M: int) -> float:

@@ -38,7 +38,7 @@ only by rounding (about 1e-15 relative) against a per-pattern loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,14 +100,7 @@ class InequalityEstimate:
     exact: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "trials": self.trials,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 def khintchine_constant(m: int) -> float:
@@ -146,13 +139,6 @@ def exact_sign_expectation(summands, functional) -> float:
     return _sign_average(ens, 2 * stack[0].nbytes, _sums_kernel(stack, functional))[0]
 
 
-def sign_mc_expectation(summands, functional, trials: int, seed: int):
-    """Monte Carlo mean and stderr of functional(sum_j eps_j S_j), batched as above."""
-    stack = _stack(summands)
-    ens = SignEnsemble(count=len(stack), exact=False, trials=trials, seed=seed)
-    return _sign_average(ens, 2 * stack[0].nbytes, _sums_kernel(stack, functional))[:2]
-
-
 def _schatten_powers(stack: np.ndarray, m: int) -> np.ndarray:
     """sum_j sigma_j^(2m) of each matrix in a (B, r, c) stack, as traces tr(G^m).
 
@@ -182,8 +168,7 @@ def khintchine_check(matrices, m: int, ensemble: SignEnsemble) -> InequalityEsti
     C_m by the larger of the two square-root Schatten terms, computed from
     eigenvalues of the PSD sums without forming matrix square roots.
     """
-    if m < 1:
-        raise OutOfRange(f"m must be >= 1, got {m}")
+    c_m = khintchine_constant(m)   # refuses m outside 1..30 before any pattern runs
     stack = _stack(matrices)
     if stack.ndim != 3:
         raise ShapeMismatch("summands must be matrices")
@@ -198,7 +183,7 @@ def khintchine_check(matrices, m: int, ensemble: SignEnsemble) -> InequalityEsti
     lhs_stderr = se_pow * lhs / (2 * m * mean_pow) if mean_pow > 0 else 0.0
     left_sum = np.einsum("jki,jkl->il", stack.conj(), stack)   # sum A_j* A_j
     right_sum = np.einsum("jik,jlk->il", stack, stack.conj())  # sum A_j A_j*
-    rhs = khintchine_constant(m) * max(
+    rhs = c_m * max(
         _psd_half_schatten(left_sum, m), _psd_half_schatten(right_sum, m)
     )
     ratio = lhs / rhs if rhs > 0 else 0.0
@@ -238,7 +223,7 @@ class StirlingBound:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
+        return asdict(self)
 
 
 def stirling_bound_check(m: int) -> StirlingBound:

@@ -100,8 +100,8 @@ class DenseMatrix:
                 f"matrix JSON must have keys {sorted(required)}; "
                 f"missing={sorted(missing)} unknown={sorted(extra)}"
             )
-        rows, cols, mode = obj["rows"], obj["cols"], obj["mode"]
-        if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+        rows, cols, mode = _json_int(obj, "rows"), _json_int(obj, "cols"), obj["mode"]
+        if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive integers")
         if mode not in (REAL, COMPLEX):
             raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
@@ -130,6 +130,14 @@ def _entry_pairs(entries, count: int) -> tuple[np.ndarray, np.ndarray]:
     except (TypeError, KeyError, ValueError) as exc:  # a bare number, nested lists
         raise ValueError(message) from exc
     raise ValueError(message)
+
+
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer, else ValueError: 2.0 and true are not."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _no_booleans(values: list) -> list:

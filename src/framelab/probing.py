@@ -23,7 +23,7 @@ trial count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ RADEMACHER = "rademacher"
 UNIFORM = "uniform"
 
 _CONTRACTION_LIMIT = 16
+
+# Largest residual || T_k* T_k - (1/n) I || that passes as a scaled isometry.
+_ISOMETRY_TOL = 1e-10
 
 # Trials per concentration block, at least.  Each block reads the whole
 # (n, n*n) family once, so blocks sized by scratch alone (2 trials at n = 256,
@@ -76,26 +79,18 @@ def regroup(U) -> np.ndarray:
 class IsometryReport:
     max_residual: float
     passed: bool
-    # ||(sum T_k* T_k)^(1/2)||_{C_p}^p for p in (2, 4); equals n when passed
-    schatten_identity: dict | None
 
 
-def check_scaled_isometry(T, tol: float = 1e-10) -> IsometryReport:
-    """Max over k of || T_k* T_k - (1/n) I ||, plus the Schatten identity check."""
+def check_scaled_isometry(T) -> IsometryReport:
+    """Max over k of || T_k* T_k - (1/n) I ||, passed when at most ``_ISOMETRY_TOL``."""
     stack = _family_stack(T)
     n = stack.shape[0]
     eye = np.eye(n) / n
     residual = max(
         operator_norm(t.conj().T @ t - eye) for t in stack
     )
-    passed = bool(residual <= tol)
-    identity = None
-    if passed:
-        total = np.einsum("kij,kil->jl", stack.conj(), stack)  # sum T_k* T_k
-        lam = np.clip(np.linalg.eigvalsh(total), 0.0, None)
-        identity = {p: float(np.sum(lam ** (p / 2))) for p in (2, 4)}
-    return IsometryReport(max_residual=float(residual), passed=passed,
-                          schatten_identity=identity)
+    return IsometryReport(max_residual=float(residual),
+                          passed=bool(residual <= _ISOMETRY_TOL))
 
 
 def build_dictionary(U, x) -> np.ndarray:
@@ -159,15 +154,7 @@ class ConcentrationEstimate:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "mean_dev": self.mean_dev,
-            "scale": self.scale,
-            "ratio": self.ratio,
-            "distribution": self.distribution,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def concentration_estimate(T, distribution: str, trials: int,
@@ -250,9 +237,3 @@ def circulant_dictionary(n: int) -> np.ndarray:
     family[i[:, None], (i[:, None] + i + 1) % n, i] = 1.0 / math.sqrt(n)
     return family
 
-
-def tuned_schatten_order(n: int) -> int:
-    """m with 2m closest to ln n, rounded to an even 2m >= 2."""
-    if n < 2:
-        raise InvalidDimension(f"need n >= 2, got {n}")
-    return max(1, round(math.log(n) / 2.0))

@@ -257,8 +257,6 @@ def certify(f: Frame, C: float, p: float | None = None, K: int | None = None,
         raise OutOfRange("provide exactly one of p or K")
     if K is None:
         K = round((1.0 - p) * N)
-    if not f.n <= K <= N:
-        raise OutOfRange(f"need n <= K <= N, got K={K}")
     try:
         cert = worst_condition(f, K, mode=mode, samples=samples, seed=seed)
     except RankDeficient as exc:

@@ -143,6 +143,69 @@ def test_malformed_frame_entries_exit_2(tmp_path, capsys, entries):
     assert not out.exists()
 
 
+_FRAME_COMMANDS = [
+    ("erasure", "--trials", 10, "--seed", 0, "--csv"),
+    ("ner", "--K", 1, "--json"),
+    ("rudelson", "--trials", 10, "--seed", 0, "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", _FRAME_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("n, M, key, value", [
+    (2, 5, "n", 2.0),
+    (2, 5, "M", 5.0),
+    (1, 5, "n", True),
+    (1, 1, "M", True),
+    (2, 5, "n", "2"),
+    (1, 5, "rows", True),
+])
+def test_frame_header_must_hold_json_integers(tmp_path, capsys, argv, n, M, key, value):
+    doc = harmonic_frame(n, M).to_json_dict()
+    (doc if key in ("n", "M") else doc["matrix"])[key] = value
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, result = run_cli(capsys, argv[0], "--frame", frame, *argv[1:], out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == str(frame)
+    assert f"{key} must be an integer" in result["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _FRAME_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("key, value, error", [
+    ("n", 3, "ShapeMismatch"),
+    ("M", 4, "ShapeMismatch"),
+    ("normalization", "bogus", "OutOfRange"),
+])
+def test_frame_header_mismatch_exits_3(tmp_path, capsys, argv, key, value, error):
+    doc = dict(harmonic_frame(2, 5).to_json_dict(), **{key: value})
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, result = run_cli(capsys, argv[0], "--frame", frame, *argv[1:], out)
+    assert code == 3
+    assert result["error"] == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--M-list", "4,8", "--trials", 10, "--seed", 0, "--csv"),
+    ("probe", "--trials", 10, "--seed", 0, "--json"),
+], ids=lambda argv: argv[0])
+def test_n_below_two_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, result = run_cli(capsys, argv[0], "--n", 1, *argv[1:], out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == "params.n"
+    assert not out.exists()
+    # n = 2 passes the schema (a probe of the 2-cycle family is always singular)
+    code, result = run_cli(capsys, argv[0], "--n", 2, *argv[1:], out)
+    assert code == 0 or result["error"] == "Singular"
+
+
 @pytest.mark.parametrize("option, doc", [
     ("--family-file", [dict(DenseMatrix(m).to_json_dict(), entries=[[1.0]] * 9)
                        for m in circulant_dictionary(3)]),

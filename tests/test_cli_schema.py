@@ -85,6 +85,8 @@ def _matrix(entries):
 
 _FILES = {
     "frame.json": json.dumps(harmonic_frame(2, 5).to_json_dict()),
+    "float_n_frame.json": json.dumps(dict(harmonic_frame(2, 5).to_json_dict(), n=2.0)),
+    "bool_M_frame.json": json.dumps(dict(harmonic_frame(1, 1).to_json_dict(), M=True)),
     "family.json": json.dumps([DenseMatrix(m).to_json_dict()
                                for m in circulant_dictionary(3)]),
     "bad_family.json": json.dumps([_matrix([[1.0], [0.0]])]),

@@ -28,7 +28,7 @@ from framelab import (
 )
 from framelab import frames
 from framelab.cli import main
-from framelab.frames import offdiagonal_gram_magnitudes
+from framelab.linalg import gram_matrix
 
 
 def brute_force_difference_set(N, M):
@@ -246,7 +246,7 @@ def test_singer_beyond_backtracking_reach(N, M):
     ds = find_difference_set(N, M)
     assert time.perf_counter() - start < 1.0
     assert ds.elements[0] == 0 and ds.M == M
-    assert DifferenceSet(N=N, elements=ds.elements, lam=1).elements == ds.elements
+    assert DifferenceSet(N=N, elements=ds.elements).elements == ds.elements
 
 
 @pytest.mark.parametrize("N,M", [(1, 0), (3, -1), (7, -2), (13, -3)])
@@ -257,7 +257,7 @@ def test_nonpositive_set_size_has_no_set(N, M):
 
 def test_difference_set_type_rejects_fake():
     with pytest.raises(OutOfRange):
-        DifferenceSet(N=7, elements=(0, 1, 2), lam=1)
+        DifferenceSet(N=7, elements=(0, 1, 2))
 
 
 def _construct_etf(capsys, tmp_path, N, M):
@@ -313,12 +313,13 @@ def test_etf_3_7_tight():
 def test_etf_4_13_coherence():
     f = difference_set_etf(find_difference_set(13, 4))
     assert coherence(f) == pytest.approx(math.sqrt(3) / 4, abs=1e-9)
-    spread = offdiagonal_gram_magnitudes(f)
+    # equiangular: every |<f_k, f_l>|, k < l, is the same (unit-norm columns)
+    spread = np.abs(gram_matrix(f.vectors))[np.triu_indices(f.M, k=1)]
     assert np.max(spread) - np.min(spread) <= 1e-9
 
 
 def test_etf_recon_normalization():
-    f = difference_set_etf(find_difference_set(7, 3), normalization="recon")
+    f = renormalize(difference_set_etf(find_difference_set(7, 3)), "recon")
     norms_sq = np.sum(np.abs(f.array) ** 2, axis=0)
     assert np.allclose(norms_sq, 3.0, atol=1e-12)
     assert check_tight(f, tol=1e-10).passed
@@ -356,7 +357,7 @@ def test_every_construction_is_tight():
         harmonic_frame(6, 20, real=True),
         difference_set_etf(find_difference_set(7, 3)),
         difference_set_etf(find_difference_set(13, 4)),
-        difference_set_etf(find_difference_set(21, 5), normalization="recon"),
+        renormalize(difference_set_etf(find_difference_set(21, 5)), "recon"),
     ]
     for f in frames:
         assert check_tight(f, tol=1e-10).passed, f.kind
@@ -368,6 +369,11 @@ def test_renormalize_roundtrip():
     back = renormalize(r, "unit")
     assert np.allclose(back.array, f.array, atol=1e-14)
     assert renormalize(f, "unit") is f
+
+
+def test_renormalize_unknown_normalization_refused_by_frame():
+    with pytest.raises(OutOfRange, match="unknown normalization 'bogus'"):
+        renormalize(harmonic_frame(2, 4), "bogus")
 
 
 def test_frame_json_roundtrip():

@@ -23,7 +23,8 @@ from framelab import (
     schatten_norm,
     stirling_bound_check,
 )
-from framelab.inequalities import _schatten_powers, sign_mc_expectation
+from framelab import inequalities
+from framelab.inequalities import _schatten_powers
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +75,19 @@ def test_enumeration_budget():
 def test_mc_matches_exact_within_stderr():
     rng = np.random.default_rng(8)
     mats = rng.standard_normal((6, 4, 4))
-    exact = exact_sign_expectation(mats, operator_norms)
-    mean, se = sign_mc_expectation(mats, operator_norms, trials=4000, seed=21)
-    assert abs(mean - exact) <= 3 * se
+    exact = khintchine_check(mats, 2, SignEnsemble(count=6, exact=True))
+    mc = khintchine_check(mats, 2, SignEnsemble(count=6, trials=4000, seed=21))
+    assert abs(mc.lhs - exact.lhs) <= 3 * mc.lhs_stderr
 
 
 def test_mc_exact_agreement_over_seeds():
     rng = np.random.default_rng(17)
     mats = rng.standard_normal((5, 3, 3))
-    exact = exact_sign_expectation(mats, operator_norms)
+    exact = khintchine_check(mats, 2, SignEnsemble(count=5, exact=True))
     hits = 0
     for seed in range(20):
-        mean, se = sign_mc_expectation(mats, operator_norms, trials=1500, seed=seed)
-        hits += abs(mean - exact) <= 3 * se
+        mc = khintchine_check(mats, 2, SignEnsemble(count=5, trials=1500, seed=seed))
+        hits += abs(mc.lhs - exact.lhs) <= 3 * mc.lhs_stderr
     assert hits >= 19
 
 
@@ -152,6 +153,17 @@ def test_khintchine_complex_matrices():
     mats = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
     est = khintchine_check(mats, 2, SignEnsemble(count=5, exact=True))
     assert est.ratio <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 31])
+def test_khintchine_refuses_m_before_averaging(monkeypatch, m):
+    def no_average(*args):
+        raise AssertionError("the sign average ran")
+
+    monkeypatch.setattr(inequalities, "_sign_average", no_average)
+    mats = np.zeros((18, 6, 6))
+    with pytest.raises(OutOfRange, match="1..30"):
+        khintchine_check(mats, m, SignEnsemble(count=18, exact=True))
 
 
 def test_khintchine_mc_mode():

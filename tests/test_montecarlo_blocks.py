@@ -33,13 +33,11 @@ from framelab import (
     harmonic_frame,
     khintchine_check,
     mc_error_estimate,
-    operator_norms,
     regroup,
     rng,
     rudelson_check,
 )
 from framelab.erasure import _contributions, _error_kernel, per_trial_errors
-from framelab.inequalities import sign_mc_expectation
 
 BLOCKS = [1, 7, rng._BLOCK_TRIALS]
 
@@ -167,12 +165,18 @@ def test_khintchine_matches_per_trial_loop(block, complex_mode):
     assert est.lhs_stderr == pytest.approx(stderr * lhs / (2 * m * mean), rel=1e-12)
 
 
-def test_sign_mc_expectation_matches_per_trial_loop(block):
+def test_sign_average_matches_per_trial_loop(block):
+    # odd m splits tr(G^3) unevenly, as the sum of conj(G^2) * G
     mats = np.random.default_rng(2).standard_normal((4, 3, 3))
-    values = [top_singular_value(np.tensordot(signs(6, t, 4), mats, 1)) for t in range(30)]
-    mean, stderr = sign_mc_expectation(mats, operator_norms, 30, 6)
-    assert mean == pytest.approx(mean_stderr(values)[0], rel=1e-12)
-    assert stderr == pytest.approx(mean_stderr(values)[1], rel=1e-12)
+    m = 3
+    powers = [float(np.sum(np.linalg.svd(np.tensordot(signs(6, t, 4), mats, 1),
+                                         compute_uv=False) ** (2 * m)))
+              for t in range(30)]
+    est = khintchine_check(mats, m, SignEnsemble(count=4, trials=30, seed=6))
+    mean, stderr = mean_stderr(powers)
+    lhs = mean ** (1.0 / (2 * m))
+    assert est.lhs == pytest.approx(lhs, rel=1e-12)
+    assert est.lhs_stderr == pytest.approx(stderr * lhs / (2 * m * mean), rel=1e-12)
 
 
 @pytest.mark.parametrize("distribution", ["rademacher", "uniform"])

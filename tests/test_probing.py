@@ -21,7 +21,6 @@ from framelab import (
     probe_roundtrip,
     recover_coefficients,
     regroup,
-    tuned_schatten_order,
 )
 from framelab import rng
 
@@ -80,14 +79,11 @@ def test_isometry_circulant_exact():
     rep = check_scaled_isometry(t)
     assert rep.max_residual <= 1e-15
     assert rep.passed
-    assert rep.schatten_identity[2] == pytest.approx(3.0, abs=1e-9)
-    assert rep.schatten_identity[4] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_isometry_indicator_family_fails():
     rep = check_scaled_isometry(regroup(indicator_family(4)))
     assert not rep.passed
-    assert rep.schatten_identity is None
 
 
 def test_isometry_scaled_failure_residual():
@@ -338,19 +334,10 @@ def test_circulant_too_small():
         circulant_dictionary(1)
 
 
-def test_tuned_schatten_order():
-    assert tuned_schatten_order(2) == 1        # ln 2 / 2 = 0.35 -> floor at 1
-    assert tuned_schatten_order(256) == 3      # ln 256 / 2 = 2.77
-    assert tuned_schatten_order(1024) == 3     # ln 1024 / 2 = 3.47
-    with pytest.raises(InvalidDimension):
-        tuned_schatten_order(1)
-
-
 def test_khintchine_route_on_regrouped_family():
     # the Schatten-route bound applies to the regrouped matrices at the
-    # tuned order 2m ~ ln n
-    n = 8
+    # even order 2m closest to ln n: 2m = 2 for ln 8 = 2.08
+    n, m = 8, 1
     t = regroup(circulant_dictionary(n))
-    m = tuned_schatten_order(n)
     est = khintchine_check(t, m, SignEnsemble(count=n, exact=True))
     assert est.ratio <= 1.0 + 1e-12

@@ -504,6 +504,12 @@ def test_certify_k_and_p_exclusive(etf37):
         certify(etf37, C=2.0, p=0.2, K=5)
 
 
+def test_certify_k_range_checked_by_worst_condition(etf37):
+    for kwargs in ({"K": 2}, {"K": 8}, {"p": 0.9}):   # p = 0.9 rounds to K = 1
+        with pytest.raises(OutOfRange, match="n <= K <= N"):
+            certify(etf37, C=2.0, **kwargs)
+
+
 def test_certify_accepts_k_directly(etf413):
     result = certify(etf413, C=3.0, K=8)
     assert result.passed
