@@ -9,8 +9,9 @@ One table, ``_COMMANDS``, declares each command once: its parameters (kind,
 default, choices, bounds), its output flag, whether it needs an output and a
 seed, and its runner.  The argparse flags are derived from it (``--`` plus
 the parameter name in kebab case), and :func:`validate` checks flags and
-config files alike against it, so every bad value exits 2 with the same
-``ConfigInvalid`` document naming its ``field``.
+config files alike against it, so every bad value it sees exits 2 with the
+same ``ConfigInvalid`` document naming its ``field``.  What argparse refuses
+first (an unknown flag, ``--n abc``) exits 2 with its usage message instead.
 
 One writer, ``_json_bytes``, makes every JSON output file, and its bytes are
 ``json.dumps(doc, sort_keys=True, allow_nan=False, indent=2) + "\\n"``.  With
@@ -35,7 +36,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,8 @@ from .frames import (
     renormalize,
     scaled_onb_frame,
 )
-from .erasure import deterministic_unit_vector, mc_error_estimate, redundancy_sweep
+from .erasure import (ErasureTrialReport, deterministic_unit_vector, mc_error_estimate,
+                      redundancy_sweep)
 from .robustness import EXHAUSTIVE, SAMPLED, certify, worst_condition
 from .inequalities import (
     SignEnsemble,
@@ -335,17 +337,11 @@ def _layout(shape: tuple, depth: int) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * depth + "]"
 
 
-_EREPORT_FIELDS = ("n", "M", "keep_prob", "trials", "mean_error", "stderr",
-                   "epsilon", "input_norm", "ratio", "seed")
-
-
 def _erasure_csv(reports) -> bytes:
-    lines = [",".join(_EREPORT_FIELDS)]
+    lines = [",".join(f.name for f in fields(ErasureTrialReport))]
     for r in reports:
-        row = [str(r.n), str(r.M), _fmt(r.keep_prob), str(r.trials),
-               _fmt(r.mean_error), _fmt(r.stderr), _fmt(r.epsilon),
-               _fmt(r.input_norm), _fmt(r.ratio), str(r.seed)]
-        lines.append(",".join(row))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in astuple(r)))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -554,7 +550,7 @@ _COMMANDS: dict[str, Command] = {
         Param("kind", "str", required=True, choices=("scaled-onb", "harmonic", "etf")),
         Param("n", "int"),
         Param("M", "int"),
-        Param("copies", "int", default=1),
+        Param("copies", "int", default=1, ge=1),
         Param("N", "int"),
         Param("normalization", "str", choices=(RECON, UNIT)),
         Param("real", "bool", default=False),
@@ -578,7 +574,7 @@ _COMMANDS: dict[str, Command] = {
                         "--json", output_required=False, seeded=True, runner=_run_rudelson),
     # seeded even in exact mode: the seed feeds the family
     "khintchine": Command((
-        Param("m", "int", required=True),
+        Param("m", "int", required=True, ge=1, le=30),
         Param("count", "int", required=True, ge=1),
         Param("dim", "int", required=True, ge=1),
         Param("trials", "int", default=0),

@@ -16,16 +16,16 @@ class InvalidExponent(FramelabError):
 class RankDeficient(FramelabError):
     """Smallest singular value is below the rank threshold.
 
-    Carries the offending column subset when raised during submatrix scans,
+    Raised by a submatrix scan, it carries the offending column subset,
     ``examined``, the number of subsets scanned up to and including it, and
-    ``subsets_svd``, the number of those the scan sent to the exact SVD.
+    ``certificate``, the refuted certificate (worst condition number inf).
     """
 
-    def __init__(self, message, subset=None, examined=None, subsets_svd=None):
+    def __init__(self, message, subset=None, examined=None, certificate=None):
         super().__init__(message)
         self.subset = subset
         self.examined = examined
-        self.subsets_svd = subsets_svd
+        self.certificate = certificate
 
 
 class ShapeMismatch(FramelabError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -335,17 +335,14 @@ def difference_set_etf(ds: DifferenceSet) -> Frame:
     """Equiangular tight frame from a cyclic (N, M, 1) difference set.
 
     The frame matrix is M x N with F[m, k] = omega**(d_m * k) / sqrt(M),
-    omega = exp(2*pi*i/N): rows of the N-point character table indexed by
-    the difference set, columns normalized.  The result is tight
+    omega = exp(2*pi*i/N): the harmonic frame on the rows the difference set
+    indexes, with unit columns.  The result is tight
     (F F* = (N/M) I) and equiangular with coherence sqrt(M-1)/M, which
     equals the Welch bound for N vectors in dimension M.  The frame is
     ``unit`` normalized; :func:`renormalize` gives the ``recon`` one.
     """
-    d = np.asarray(ds.elements)[:, None]
-    k = np.arange(ds.N)[None, :]
-    cols = np.exp(2j * np.pi * (d * k) / ds.N) / math.sqrt(ds.M)
-    return Frame(n=ds.M, M=ds.N, vectors=DenseMatrix(cols),
-                 normalization=UNIT, kind="etf")
+    return replace(renormalize(harmonic_frame(ds.M, ds.N, row_set=ds.elements), UNIT),
+                   kind="etf")
 
 
 def renormalize(f: Frame, normalization: str) -> Frame:

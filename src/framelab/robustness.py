@@ -15,8 +15,9 @@ contracts:
   SVD, the same LAPACK call per matrix as a lone ``condition_number``)
   gives for that subset alone, so certificates are bit-identical to a
   per-subset scan and do not depend on the chunk size;
-* rank is decided on singular values at ``RANK_TOL``, and the first
-  rank-deficient subset in scan order is raised by ``submatrix_condition``;
+* rank is decided on singular values at ``RANK_TOL``, and the scan stops at
+  the first rank-deficient subset in scan order, which ``worst_condition``
+  raises with its refuted certificate;
 * the lexicographically smallest maximizer wins, across chunks too;
 * NaN cannot reach the ``RANK_TOL`` comparison: a ``Frame`` is checked for
   finiteness once, when it is built, and the kernel checks each block.
@@ -156,18 +157,16 @@ def _needs_svd(block) -> np.ndarray:
     return need
 
 
-def _scan(f: Frame, subsets) -> tuple[float, tuple[int, ...], int]:
-    """Worst condition number over ``subsets``, sorted index tuples in scan order.
+def _scan(f: Frame, subsets) -> tuple[float, tuple[int, ...], int, int]:
+    """``(worst, worst_subset, examined, svd)`` over ``subsets``, sorted tuples.
 
     Each chunk of ``_SCAN_CHUNK`` subsets is gathered as one (B, n, K) block,
     screened by :func:`_needs_svd`, and the subsets that pass go through one
     batched SVD; the others cannot be the maximum and count as ``-inf``.
-    The first rank-deficient subset in scan order is raised through
-    :func:`submatrix_condition`, with the number of subsets scanned up to and
-    including it as ``examined`` and the number of those sent to the SVD as
-    ``subsets_svd``; among the maximizers the lexicographically smallest wins,
-    across chunks too.  Returns the worst value, its subset and the number of
-    subsets sent to the SVD.
+    Among the maximizers the lexicographically smallest wins, across chunks
+    too; ``examined`` counts the subsets scanned, ``svd`` those sent to the
+    SVD.  At the first rank-deficient subset in scan order the scan stops
+    with ``inf``, that subset and the counts up to and including it.
     """
     a = f.array
     worst, worst_subset = -math.inf, ()
@@ -181,19 +180,15 @@ def _scan(f: Frame, subsets) -> tuple[float, tuple[int, ...], int]:
         deficient = np.flatnonzero(conds == math.inf)
         if deficient.size:
             first = int(deficient[0])
-            try:
-                submatrix_condition(f, chunk[first])
-            except RankDeficient as exc:
-                exc.examined = examined + first + 1
-                exc.subsets_svd = svd + int(need[:first + 1].sum())
-                raise
+            return (math.inf, chunk[first], examined + first + 1,
+                    svd + int(need[:first + 1].sum()))
         examined += len(chunk)
         svd += int(need.sum())
         top = float(conds.max())
         best = min(chunk[i] for i in np.flatnonzero(conds == top))
         if top > worst or (top == worst and best < worst_subset):
             worst, worst_subset = top, best
-    return worst, worst_subset, svd
+    return worst, worst_subset, examined, svd
 
 
 def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
@@ -204,7 +199,8 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     (the reported worst subset is the lexicographically smallest maximizer);
     sampled mode takes the max over ``samples`` uniform subsets, a lower
     bound on the true worst case, drawn one after another from a single
-    ``SUBSETS`` substream.
+    ``SUBSETS`` substream.  A rank-deficient subset raises
+    :class:`RankDeficient` with the refuted certificate (``worst_cond`` inf).
     """
     N = f.M
     if not f.n <= K <= N:
@@ -220,15 +216,18 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
         if samples < 1:
             raise OutOfRange("sampled mode needs samples >= 1")
         stream = rng.substream(seed, rng.SUBSETS)
-        count = samples
         subsets = (tuple(sorted(stream.choice(N, size=K, replace=False).tolist()))
                    for _ in range(samples))
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
-    worst, worst_subset, svd = _scan(f, subsets)
-    return NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
+    worst, worst_subset, examined, svd = _scan(f, subsets)
+    cert = NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
                           worst_subset=worst_subset, mode=mode,
-                          subsets_examined=count, subsets_svd=svd)
+                          subsets_examined=examined, subsets_svd=svd)
+    if worst == math.inf:
+        raise RankDeficient(f"rank-deficient submatrix at columns {worst_subset}",
+                            subset=worst_subset, examined=examined, certificate=cert)
+    return cert
 
 
 def min_cond_bound(p: float) -> float:
@@ -243,29 +242,18 @@ def min_cond_bound(p: float) -> float:
     return math.sqrt((1.0 + math.sqrt(1.0 - 4.0 * a * a)) / (2.0 * a))
 
 
-def certify(f: Frame, C: float, p: float | None = None, K: int | None = None,
-            mode: str = EXHAUSTIVE, samples: int = 0, seed: int = 0) -> CertifyResult:
-    """Check worst_cond <= C over kept subsets of size K (or K = round((1-p)N)).
+def certify(f: Frame, C: float, K: int, mode: str = EXHAUSTIVE,
+            samples: int = 0, seed: int = 0) -> CertifyResult:
+    """Check worst_cond <= C over kept subsets of size K.
 
     Exhaustive certificates are definitive; sampled ones only mean "not
-    refuted".  A rank-deficient submatrix fails the certificate with an
-    infinite worst condition number at the offending subset; its
-    ``subsets_examined`` counts the subsets scanned up to and including it.
+    refuted".  A rank-deficient submatrix fails with the refuted certificate
+    that :func:`worst_condition` raises: worst condition number inf at that
+    subset, counting the subsets scanned up to and including it.
     """
-    N = f.M
-    if (p is None) == (K is None):
-        raise OutOfRange("provide exactly one of p or K")
-    if K is None:
-        K = round((1.0 - p) * N)
     try:
         cert = worst_condition(f, K, mode=mode, samples=samples, seed=seed)
     except RankDeficient as exc:
-        cert = NerCertificate(
-            N=N, K=K, p=1.0 - K / N, worst_cond=math.inf,
-            worst_subset=exc.subset or (), mode=mode,
-            subsets_examined=exc.examined or 0,
-            subsets_svd=exc.subsets_svd or 0,
-        )
-        return CertifyResult(passed=False, required_cond=float(C), certificate=cert)
+        cert = exc.certificate
     return CertifyResult(passed=bool(cert.worst_cond <= C),
                          required_cond=float(C), certificate=cert)

@@ -312,6 +312,35 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("khintchine", "--m", 31, "--count", 2, "--dim", 2, "--seed", 1, "--exact",
+      "--json"), "params.m"),
+    (("khintchine", "--m", 0, "--count", 2, "--dim", 2, "--seed", 1, "--exact",
+      "--json"), "params.m"),
+    (("construct", "--kind", "scaled-onb", "--n", 2, "--copies", 0, "--out"),
+     "params.copies"),
+    # copies is range-checked even where the kind ignores it
+    (("construct", "--kind", "harmonic", "--n", 2, "--M", 4, "--copies", 0, "--out"),
+     "params.copies"),
+], ids=["m-31", "m-0", "copies-0", "copies-0-harmonic"])
+def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
+    out = tmp_path / "out.json"
+    code, result = run_cli(capsys, *argv, out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == field
+    assert not out.exists()
+
+
+def test_schema_range_ends_pass_validation():
+    raw = {"command": "khintchine", "seed": 1, "output": None,
+           "params": {"m": 30, "count": 2, "dim": 2, "exact": True}}
+    assert validate(raw).params["m"] == 30
+    raw = {"command": "construct", "seed": None, "output": "x.json",
+           "params": {"kind": "scaled-onb", "n": 2, "copies": 1}}
+    assert validate(raw).params["copies"] == 1
+
+
 @pytest.mark.parametrize("m_list", [[8.7, 16], [True, 16], ["8", 16]])
 def test_int_list_elements_follow_the_int_rule(m_list):
     raw = {"command": "sweep", "seed": 1, "output": "x.csv",

@@ -325,6 +325,33 @@ def test_etf_recon_normalization():
     assert check_tight(f, tol=1e-10).passed
 
 
+def planar_difference_sets():
+    """Every cyclic (N, M, 1) difference set that ``find_difference_set`` builds."""
+    sets, M = [], 1
+    while (N := M * (M - 1) + 1) <= frames._N_LIMIT:
+        try:
+            sets.append(find_difference_set(N, M))
+        except NoSuchSet:
+            pass
+        M += 1
+    return sets
+
+
+def test_difference_set_etf_equals_the_character_table_formula():
+    sets = planar_difference_sets()
+    assert len(sets) == 19
+    assert [(ds.N, ds.M) for ds in (sets[0], sets[-1])] == [(1, 1), (993, 32)]
+    for ds in sets:
+        # oracle: F[m, k] = exp(2 pi i d_m k / N) / sqrt(M), bit for bit
+        d = np.asarray(ds.elements)[:, None]
+        k = np.arange(ds.N)[None, :]
+        oracle = np.exp(2j * np.pi * (d * k) / ds.N) / math.sqrt(ds.M)
+        f = difference_set_etf(ds)
+        assert (f.n, f.M, f.normalization, f.kind) == (ds.M, ds.N, "unit", "etf")
+        assert f.array.dtype == oracle.dtype
+        assert f.array.tobytes() == oracle.tobytes(), (ds.N, ds.M)
+
+
 # ---------------------------------------------------------------------------
 # tightness checks and coherence edge cases
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -318,6 +319,29 @@ def test_refuted_certificate_counts_subsets_up_to_the_deficient_one(monkeypatch,
     assert info.value.examined == first + 1
 
 
+def no_second_svd(*args):
+    raise AssertionError("the scan decides rank deficiency without a second SVD")
+
+
+@pytest.mark.parametrize("mode, samples", [("exhaustive", 0), ("sampled", 2000)])
+def test_rank_deficient_scan_raises_its_certificate_once(monkeypatch, mode, samples):
+    f = duplicate_pair_frame()
+    if mode == "exhaustive":
+        order = list(combinations(range(40), 2))
+    else:
+        order = sampled_draws(2, 40, 2, samples)
+    first = next(i for i, s in enumerate(order) if s in ((25, 26), (32, 33)))
+    monkeypatch.setattr(robustness, "submatrix_condition", no_second_svd)
+    with pytest.raises(RankDeficient, match=re.escape(f"columns {order[first]}")) as info:
+        worst_condition(f, 2, mode=mode, samples=samples, seed=2)
+    exc = info.value
+    assert (exc.subset, exc.examined) == (order[first], first + 1)
+    cert = certify(f, C=1e6, K=2, mode=mode, samples=samples, seed=2).certificate
+    assert exc.certificate == cert
+    assert (cert.worst_cond, cert.worst_subset, cert.subsets_examined, cert.mode) == (
+        math.inf, order[first], first + 1, mode)
+
+
 # ---------------------------------------------------------------------------
 # the Gram-eigenvalue screen in front of the SVD
 # ---------------------------------------------------------------------------
@@ -475,15 +499,15 @@ def test_min_cond_bound_substitution_oracle(p):
 # ---------------------------------------------------------------------------
 
 def test_certify_pass_at_certified_bound(etf37):
-    p = 2.0 / 7.0
-    result = certify(etf37, C=min_cond_bound(p), p=p)
+    # p = 2/7 keeps K = (1 - p) N = 5 of the 7 vectors
+    result = certify(etf37, C=min_cond_bound(2.0 / 7.0), K=5)
     assert result.passed
     assert result.certificate.mode == "exhaustive"
     assert result.certificate.K == 5
 
 
 def test_certify_impossible_c(etf37):
-    result = certify(etf37, C=1.0 - 1e-6, p=2.0 / 7.0)
+    result = certify(etf37, C=1.0 - 1e-6, K=5)
     assert not result.passed
 
 
@@ -491,23 +515,16 @@ def test_certify_rank_deficient_fails():
     f = Frame(n=2, M=3,
               vectors=DenseMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
               normalization="unit")
-    result = certify(f, C=10.0, p=1.0 / 3.0)
+    result = certify(f, C=10.0, K=2)
     assert not result.passed
     assert math.isinf(result.certificate.worst_cond)
     assert result.certificate.worst_subset == (0, 1)
 
 
-def test_certify_k_and_p_exclusive(etf37):
-    with pytest.raises(OutOfRange):
-        certify(etf37, C=2.0)
-    with pytest.raises(OutOfRange):
-        certify(etf37, C=2.0, p=0.2, K=5)
-
-
 def test_certify_k_range_checked_by_worst_condition(etf37):
-    for kwargs in ({"K": 2}, {"K": 8}, {"p": 0.9}):   # p = 0.9 rounds to K = 1
+    for K in (2, 8):
         with pytest.raises(OutOfRange, match="n <= K <= N"):
-            certify(etf37, C=2.0, **kwargs)
+            certify(etf37, C=2.0, K=K)
 
 
 def test_certify_accepts_k_directly(etf413):
