@@ -225,16 +225,25 @@ def _validate_combinations(command: str, params: dict):
         kind = params["kind"]
         if kind == "scaled-onb" and params.get("n") is None:
             bad("n", "required for scaled-onb")
-        if kind == "harmonic" and (params.get("n") is None or params.get("M") is None):
-            bad("n", "harmonic needs n and M")
+        if kind == "harmonic":
+            n, M = params.get("n"), params.get("M")
+            if n is None or M is None:
+                bad("n", "harmonic needs n and M")
+            least = n + 1 if params["real"] and n % 2 == 0 else n   # the library's rule
+            if M < least:
+                bad("M", f"must be >= {least} for a harmonic frame of n = {n}")
         if kind == "etf" and (params.get("N") is None or params.get("M") is None):
             bad("N", "etf needs N (modulus) and M (set size)")
     if command == "khintchine" and not params["exact"] and params["trials"] < 1:
         bad("trials", "must be >= 1 unless exact mode is set")
     if command == "ner" and params["mode"] == SAMPLED and params["samples"] < 1:
         bad("samples", "sampled mode needs samples >= 1")
+    if command == "sweep" and min(params["M_list"]) < params["n"]:
+        bad("M_list", f"every M must be >= n = {params['n']}")
     if command == "probe" and params["family"] == "file" and not params.get("family_file"):
         bad("family_file", "family 'file' needs params.family_file")
+    if command == "probe" and params["family"] == "circulant" and params["n"] < 3:
+        bad("n", "the circulant family needs n >= 3: every probe at n = 2 is singular")
 
 
 # --------------------------------------------------------------------------
@@ -548,8 +557,8 @@ _KEEP_PROB = Param("keep_prob", "float", default=0.5, gt=0.0, le=1.0)
 _COMMANDS: dict[str, Command] = {
     "construct": Command((
         Param("kind", "str", required=True, choices=("scaled-onb", "harmonic", "etf")),
-        Param("n", "int"),
-        Param("M", "int"),
+        Param("n", "int", ge=1),
+        Param("M", "int", ge=1),
         Param("copies", "int", default=1, ge=1),
         Param("N", "int"),
         Param("normalization", "str", choices=(RECON, UNIT)),
@@ -587,7 +596,7 @@ _COMMANDS: dict[str, Command] = {
         Param("dist", "str", default=RADEMACHER, choices=(RADEMACHER, UNIFORM)),
         _TRIALS,
         Param("lambda_file", "str"),
-        Param("cond_limit", "float", default=1e8),
+        Param("cond_limit", "float", default=1e8, ge=1),
     ), "--json", output_required=True, seeded=True, runner=_run_probe),
     "stirling": Command((
         Param("m_max", "int", default=150, ge=1, le=150),

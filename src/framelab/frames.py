@@ -13,8 +13,10 @@ Three families are built here:
 Difference sets are built algebraically by Singer's construction from the
 field GF(q^3), q = M - 1 a prime power, in time polynomial in N, and put
 in a canonical form: the lexicographically smallest equivalent set
-containing 0.  Orders q that are not prime powers have no such set
-(Gordon, 1994) and are refused without a search.
+containing 0.  One walk over powers of x modulo a candidate polynomial both
+fills the antilog table and, by its period, shows that x is primitive.
+Orders q that are not prime powers have no such set (Gordon, 1994) and are
+refused without a search.
 
 Two normalizations are carried explicitly. ``recon`` scales every vector
 to squared norm n so that x = (1/M) sum <z_j, x> z_j; ``unit`` scales to
@@ -202,67 +204,6 @@ def harmonic_frame(n: int, M: int, row_set=None, real: bool = False) -> Frame:
                  normalization=RECON, kind="harmonic")
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
-    out = []
-    r = 2
-    while r * r <= n:
-        if n % r == 0:
-            out.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _mulmod(a: tuple, b: tuple, f: tuple, p: int) -> tuple:
-    """a * b in GF(p)[x] / (x^n + f), coefficients lowest degree first."""
-    n = len(f)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for k in range(2 * n - 2, n - 1, -1):   # x^k = x^(k-n) * (-f)
-        c = prod[k] % p
-        if c:
-            for j, fj in enumerate(f):
-                prod[k - n + j] -= c * fj
-    return tuple(c % p for c in prod[:n])
-
-
-def _powmod(a: tuple, k: int, f: tuple, p: int) -> tuple:
-    """a^k in GF(p)[x] / (x^n + f) by square and multiply."""
-    result = (1,) + (0,) * (len(f) - 1)
-    while k:
-        if k & 1:
-            result = _mulmod(result, a, f, p)
-        a = _mulmod(a, a, f, p)
-        k >>= 1
-    return result
-
-
-def _primitive_polynomial(p: int, n: int) -> tuple:
-    """Low coefficients f of the first primitive x^n + f over GF(p), n >= 2.
-
-    x has order p^n - 1 modulo x^n + f exactly when x^(p^n - 1) = 1 and
-    x^((p^n - 1)/r) != 1 for every prime r dividing p^n - 1; then every
-    nonzero residue is a power of x, so the quotient ring is the field
-    GF(p^n) and x generates its multiplicative group.
-    """
-    order = p ** n - 1
-    one = (1,) + (0,) * (n - 1)
-    x = (0, 1) + (0,) * (n - 2)
-    cofactors = [order // r for r in _prime_factors(order)]
-    # candidates by increasing sum f[j] p^j: sparse low-degree tails come first
-    candidates = (f[::-1] for f in itertools.product(range(p), repeat=n))
-    return next(f for f in candidates
-                if f[0] and _powmod(x, order, f, p) == one
-                and all(_powmod(x, k, f, p) != one for k in cofactors))
-
-
 def _singer_set(p: int, e: int) -> list[int]:
     """Singer's (q^2+q+1, q+1, 1) difference set for q = p^e.
 
@@ -271,18 +212,29 @@ def _singer_set(p: int, e: int) -> list[int]:
     Tr(y) = y + y^q + y^(q^2) from GF(q^3) to GF(q), a 2-dimensional
     GF(q)-subspace.  Tr(g^i) is read off one antilog table as
     g^i + g^(iq) + g^(iq^2), exponents taken mod q^3 - 1.
+
+    g is x modulo the first x^n + f (n = 3e) whose table-filling walk
+    g^(k+1) = x g^k first returns to 1 at step p^n - 1.  With f[0] != 0, x is
+    a unit of R = GF(p)[x]/(x^n + f), and its order, which divides
+    |R^x| <= p^n - 1, is p^n - 1 exactly when R is a field and x primitive.
     """
     q, n = p ** e, 3 * e
-    f = _primitive_polynomial(p, n)
     order = q ** 3 - 1
+    one = [1] + [0] * (n - 1)
     antilog = np.empty((order, n), dtype=np.int64)   # row k: coefficients of g^k, g = x
-    cur = [1] + [0] * (n - 1)
-    for k in range(order):
-        antilog[k] = cur
-        top = cur[-1]                  # g^(k+1) = x g^k: shift up, x^n -> -f
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [(c - top * fj) % p for c, fj in zip(cur, f)]
+    # tails f by increasing sum f[j] p^j: sparse low-degree tails come first
+    for f in (t[::-1] for t in itertools.product(range(p), repeat=n) if t[-1]):
+        cur = one
+        for k in range(order):
+            if k and cur == one:
+                break                  # x has order k < p^n - 1: not primitive
+            antilog[k] = cur
+            top = cur[-1]              # g^(k+1) = x g^k: shift up, x^n -> -f
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [(c - top * fj) % p for c, fj in zip(cur, f)]
+        else:
+            break
     i = np.arange(q * q + q + 1)
     trace = antilog[i] + antilog[i * q % order] + antilog[i * q * q % order]
     return np.flatnonzero(~(trace % p).any(axis=1)).tolist()
@@ -302,9 +254,10 @@ def find_difference_set(N: int, M: int) -> DifferenceSet:
     against ordered backtracking for every N <= 91.  No cyclic planar
     difference set of an order q < 2,000,000 that is not a prime power
     exists (D. M. Gordon, "The prime power conjecture is true for
-    n < 2,000,000", Electron. J. Combin. 1, 1994), so those orders raise
-    ``NoSuchSet`` at once.  The orders 0 and 1 give (1, 1) -> {0} and
-    (3, 2) -> {0, 1}.
+    n < 2,000,000", Electron. J. Combin. 1, 1994), so an order that is not
+    a power of its least factor p >= 2 raises ``NoSuchSet`` at once; for
+    q = p^e, :func:`_singer_set` finds the field by the period of its walk.
+    The orders 0 and 1 give (1, 1) -> {0} and (3, 2) -> {0, 1}.
     """
     if M * (M - 1) != N - 1:
         raise NoSuchSet(
@@ -317,13 +270,12 @@ def find_difference_set(N: int, M: int) -> DifferenceSet:
     q = M - 1
     if q <= 1:
         return DifferenceSet(N=N, elements=tuple(range(M)))
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise NoSuchSet(f"no (N={N}, M={M}, 1) difference set: order {q} is not a prime power")
-    p = primes[0]
+    p = next(r for r in range(2, q + 1) if q % r == 0)   # the least prime factor
     e = 1
     while p ** e < q:
         e += 1
+    if p ** e != q:
+        raise NoSuchSet(f"no (N={N}, M={M}, 1) difference set: order {q} is not a prime power")
     D = _singer_set(p, e)
     # an image t*D + s contains 0 exactly when s = -t*d0 for some d0 in D
     best = min(tuple(sorted(t * (d - d0) % N for d in D))

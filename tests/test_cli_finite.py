@@ -201,9 +201,14 @@ def test_n_below_two_exits_2(tmp_path, capsys, argv):
     assert result["error"] == "ConfigInvalid"
     assert result["field"] == "params.n"
     assert not out.exists()
-    # n = 2 passes the schema (a probe of the 2-cycle family is always singular)
+    # n = 2 passes the schema for sweep; every probe of the 2-cycle family is singular
     code, result = run_cli(capsys, argv[0], "--n", 2, *argv[1:], out)
-    assert code == 0 or result["error"] == "Singular"
+    if argv[0] == "sweep":
+        assert code == 0
+    else:
+        assert code == 2
+        assert result["field"] == "params.n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("option, doc", [
@@ -322,7 +327,22 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
     # copies is range-checked even where the kind ignores it
     (("construct", "--kind", "harmonic", "--n", 2, "--M", 4, "--copies", 0, "--out"),
      "params.copies"),
-], ids=["m-31", "m-0", "copies-0", "copies-0-harmonic"])
+    (("construct", "--kind", "harmonic", "--n", 0, "--M", 4, "--out"), "params.n"),
+    (("construct", "--kind", "scaled-onb", "--n", 0, "--out"), "params.n"),
+    (("construct", "--kind", "harmonic", "--n", 4, "--M", 2, "--out"), "params.M"),
+    # a real harmonic frame of even n needs M > n
+    (("construct", "--kind", "harmonic", "--n", 4, "--M", 4, "--real", "--out"),
+     "params.M"),
+    (("sweep", "--n", 4, "--M-list", "2,8", "--trials", 10, "--seed", 1, "--csv"),
+     "params.M_list"),
+    # cond(D) >= 1, so a lower limit refuses every probe
+    (("probe", "--n", 4, "--trials", 10, "--seed", 1, "--cond-limit", 0, "--json"),
+     "params.cond_limit"),
+    (("probe", "--n", 4, "--trials", 10, "--seed", 1, "--cond-limit", -1, "--json"),
+     "params.cond_limit"),
+], ids=["m-31", "m-0", "copies-0", "copies-0-harmonic", "harmonic-n-0", "onb-n-0",
+        "harmonic-M-below-n", "real-harmonic-M-n", "sweep-M-below-n", "cond-limit-0",
+        "cond-limit-negative"])
 def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     out = tmp_path / "out.json"
     code, result = run_cli(capsys, *argv, out)
@@ -339,6 +359,18 @@ def test_schema_range_ends_pass_validation():
     raw = {"command": "construct", "seed": None, "output": "x.json",
            "params": {"kind": "scaled-onb", "n": 2, "copies": 1}}
     assert validate(raw).params["copies"] == 1
+    for n, M, real in ((4, 4, False), (4, 5, True), (3, 3, True)):
+        raw["params"] = {"kind": "harmonic", "n": n, "M": M, "real": real}
+        assert validate(raw).params["M"] == M
+    raw = {"command": "sweep", "seed": 1, "output": "x.csv",
+           "params": {"n": 4, "M_list": [4, 8], "trials": 10}}
+    assert validate(raw).params["M_list"] == [4, 8]
+    raw = {"command": "probe", "seed": 1, "output": "x.json",
+           "params": {"n": 3, "trials": 10, "cond_limit": 1}}
+    assert validate(raw).params["cond_limit"] == 1
+    # a family file may hold a 2 x 2 family that is not singular
+    raw["params"] = {"n": 2, "trials": 10, "family": "file", "family_file": "f.json"}
+    assert validate(raw).params["n"] == 2
 
 
 @pytest.mark.parametrize("m_list", [[8.7, 16], [True, 16], ["8", 16]])

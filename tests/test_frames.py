@@ -234,19 +234,30 @@ def test_non_prime_power_order_refused_without_search(N, M, monkeypatch):
     def no_search(*args):
         raise AssertionError("a construction was attempted")
 
-    monkeypatch.setattr(frames, "_primitive_polynomial", no_search)
     monkeypatch.setattr(frames, "_singer_set", no_search)
     with pytest.raises(NoSuchSet, match="not a prime power"):
         find_difference_set(N, M)
 
 
-@pytest.mark.parametrize("N,M", [(133, 12), (183, 14)])
+# (757, 28) has the slowest walk within the N <= 1000 budget
+@pytest.mark.parametrize("N,M", [(133, 12), (183, 14), (757, 28), (993, 32)])
 def test_singer_beyond_backtracking_reach(N, M):
     start = time.perf_counter()
     ds = find_difference_set(N, M)
     assert time.perf_counter() - start < 1.0
     assert ds.elements[0] == 0 and ds.M == M
     assert DifferenceSet(N=N, elements=ds.elements).elements == ds.elements
+
+
+# every prime power q = p^e <= 31
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1),
+                                 (5, 2), (3, 3), (29, 1), (31, 1)])
+def test_raw_singer_set_is_a_difference_set(p, e):
+    # the walk's choice of polynomial, checked before the canonical form
+    q = p ** e
+    D = frames._singer_set(p, e)
+    assert DifferenceSet(N=q * q + q + 1, elements=D).M == q + 1
 
 
 @pytest.mark.parametrize("N,M", [(1, 0), (3, -1), (7, -2), (13, -3)])
