@@ -452,6 +452,9 @@ def _run_sweep(cfg: ExperimentConfig):
 def _run_ner(cfg: ExperimentConfig):
     p = cfg.params
     f = _decode(p["frame"], Frame.from_json_dict)
+    if not f.n <= p["K"] <= f.M:
+        raise ConfigInvalid(f"params.K: must be in {f.n}..{f.M} for a frame of "
+                            f"n = {f.n}, M = {f.M}, got {p['K']}", field="params.K")
     start = time.perf_counter()
     if p.get("C") is not None:
         result = certify(f, C=p["C"], K=p["K"], mode=p["mode"],
@@ -477,7 +480,8 @@ def _run_rudelson(cfg: ExperimentConfig):
     ens = SignEnsemble(count=f.M, exact=False, trials=p["trials"], seed=cfg.seed)
     start = time.perf_counter()
     est = rudelson_check(f, ens)
-    counters = _trial_counters(est.trials, time.perf_counter() - start)
+    counters = {**_trial_counters(est.trials, time.perf_counter() - start),
+                "route": est.route}
     doc = est.to_json_dict()
     return _json_bytes(doc), doc, counters
 
@@ -520,7 +524,8 @@ def _run_probe(cfg: ExperimentConfig):
     lam_hat = np.atleast_1d(round_.lambda_hat)
     start = time.perf_counter()
     conc = concentration_estimate(t, p["dist"], p["trials"], cfg.seed)
-    counters = _trial_counters(conc.trials, time.perf_counter() - start)
+    counters = {**_trial_counters(conc.trials, time.perf_counter() - start),
+                "route": conc.route}
     doc = {
         "n": n,
         "family": p["family"],
@@ -574,10 +579,10 @@ _COMMANDS: dict[str, Command] = {
     ), "--csv", output_required=True, seeded=True, runner=_run_sweep),
     "ner": Command((
         _FRAME,
-        Param("K", "int", required=True),
+        Param("K", "int", required=True, ge=1),
         Param("mode", "str", default=EXHAUSTIVE, choices=(EXHAUSTIVE, SAMPLED)),
         Param("samples", "int", default=0),
-        Param("C", "float"),
+        Param("C", "float", ge=1),
     ), "--json", output_required=True, seeded=False, runner=_run_ner),
     "rudelson": Command((_FRAME, _TRIALS),
                         "--json", output_required=False, seeded=True, runner=_run_rudelson),
@@ -610,7 +615,9 @@ def run(cfg: ExperimentConfig) -> dict:
     ``counters`` reports the work done: subsets examined, subsets sent to
     the exact SVD and the scan rate for ``ner``; Monte Carlo trials and the
     trial rate for ``erasure``, ``sweep``, ``rudelson``, ``khintchine``
-    (Monte Carlo mode) and ``probe`` (its concentration estimate).  It is
+    (Monte Carlo mode) and ``probe`` (its concentration estimate), and for
+    ``rudelson`` and ``probe`` the kernel's ``route``: ``"harmonic"`` or
+    ``"circulant"`` for the structured input, else ``"generic"``.  It is
     empty for the other commands.
     ``env`` names what the results depend on besides the config: the Python
     and NumPy versions and the Monte Carlo stream version.

@@ -27,20 +27,31 @@ Monte Carlo on ``rng.mc_values``: trial t takes eps = ``rng.rademacher(u)``
 of its own row u of the ``SIGNS`` stream.  The related factorial bound
 (2m)!/(2^m m!) <= sqrt(2) (2/e)^m m^m is checked in the log domain.
 
-A block's sums are reduced together: the rank-one sums sum_i eps_i z_i z_i*
-are Hermitian, so ``linalg.operator_norms`` takes their top eigenvalue
-magnitude, and the Khintchine power sum_j sigma_j^(2m) is the trace
-tr(G^m) of each sum's Gram matrix G on its smaller side, from a few batched
-matrix products per block instead of an SVD per pattern.  The averages move
-only by rounding (about 1e-15 relative) against a per-pattern loop.
+A block's sums are reduced together: the rank-one sums S(eps) =
+sum_i eps_i z_i z_i* are Hermitian, so ``linalg.operator_norms`` takes their
+top eigenvalue magnitude.  A harmonic frame takes its own kernel, chosen by an
+exact test: v == harmonic_frame(n, M).array * s bit for bit, s = v[0, 0].real
+(both normalizations, and frames read back from files).  Then S(eps)[a, b] =
+c[(a - b) mod M] with c = s^2 M ifft(eps) is Hermitian Toeplitz, so
+J S J = conj(S) for the exchange matrix J, and with the unitary
+Q = (I + iJ)/sqrt(2) the similar Q^H S Q is the real symmetric matrix
+A[a, b] = Re c[(a - b) mod M] - Im c[(a + b - n + 1) mod M], built from
+2n - 1 values of c by two sliding-window views and handed to a real
+eigensolve.  Row-set and real harmonic frames, ETFs and every other input
+take the generic kernel, which forms each S(eps).  The Khintchine power
+sum_j sigma_j^(2m) is the trace tr(G^m) of each sum's Gram matrix G on its
+smaller side, from a few batched matrix products per block instead of an SVD
+per pattern.  The averages move only by rounding (about 1e-15 relative)
+against a per-pattern loop, as do the two kernels'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .errors import (
@@ -50,6 +61,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
+from .frames import harmonic_frame
 from .linalg import as_array, operator_norm, operator_norms
 
 
@@ -98,9 +110,11 @@ class InequalityEstimate:
     ratio: float
     trials: int
     exact: bool
+    # which kernel ran, not part of the estimate: "harmonic" or "generic"
+    route: str = field(default="generic", compare=False)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {key: value for key, value in asdict(self).items() if key != "route"}
 
 
 def khintchine_constant(m: int) -> float:
@@ -191,6 +205,22 @@ def khintchine_check(matrices, m: int, ensemble: SignEnsemble) -> InequalityEsti
                               ratio=ratio, trials=trials, exact=ensemble.exact)
 
 
+def _harmonic_kernel(v: np.ndarray):
+    """The harmonic kernel when v == harmonic_frame(n, M).array * v[0, 0].real, else None."""
+    n, M = v.shape
+    s = v[0, 0].real
+    if not np.iscomplexobj(v) or M < n or not np.array_equal(
+            v, harmonic_frame(n, M).array * s):
+        return None
+    k = (np.arange(2 * n - 1) - n + 1) % M
+
+    def kernel(signs):
+        c = (s * s * M) * np.fft.ifft(signs, axis=1)
+        w = sliding_window_view(c[:, k], n, axis=1)   # w[:, a, b] = c[(a + b - n + 1) mod M]
+        return operator_norms(w.real[:, :, ::-1] - w.imag, hermitian=True)
+    return kernel
+
+
 def rudelson_check(vectors, ensemble: SignEnsemble) -> InequalityEstimate:
     """Compare E || sum eps_i z_i (x) z_i || with sqrt(ln n) max||z|| ||sum z (x) z||^(1/2).
 
@@ -205,14 +235,19 @@ def rudelson_check(vectors, ensemble: SignEnsemble) -> InequalityEstimate:
     if ensemble.count != M:
         raise ShapeMismatch(f"ensemble.count = {ensemble.count} != M = {M}")
     vh = v.conj().T
-    lhs, lhs_stderr, trials = _sign_average(
-        ensemble, (n * M + 3 * n * n) * v.itemsize,
-        lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True))
+    kernel = _harmonic_kernel(v)
+    if kernel is None:
+        lhs, lhs_stderr, trials = _sign_average(
+            ensemble, (n * M + 3 * n * n) * v.itemsize,
+            lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True))
+    else:   # the FFT and c, then A, its LAPACK copy and workspace
+        lhs, lhs_stderr, trials = _sign_average(ensemble, 32 * (M + n * n), kernel)
     max_norm = float(np.max(np.linalg.norm(v, axis=0)))
     rhs = math.sqrt(math.log(n)) * max_norm * math.sqrt(operator_norm(v @ v.conj().T))
     ratio = lhs / rhs if rhs > 0 else 0.0
     return InequalityEstimate(lhs=lhs, lhs_stderr=lhs_stderr, rhs=rhs,
-                              ratio=ratio, trials=trials, exact=ensemble.exact)
+                              ratio=ratio, trials=trials, exact=ensemble.exact,
+                              route="generic" if kernel is None else "harmonic")
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,20 @@ U_j = P^j / sqrt(n) realizes the scaled-isometry hypothesis exactly.
 
 ``concentration_estimate`` runs its trials in blocks on ``rng.mc_values``:
 trial t maps its own row u of the ``DISTR`` stream to ``rng.rademacher(u)``
-or to the uniform 2u - 1.  Each block's dictionaries are formed by one matmul
-and reduced by ``linalg.operator_norms``, so memory does not grow with the
-trial count.
+or to the uniform 2u - 1, so memory does not grow with the trial count.  The
+generic kernel forms each block's dictionaries by one matmul and reduces them
+by ``linalg.operator_norms``.  A circulant family, tested exactly (every
+T_k == first[k][(i - j) mod n] bit for bit, first = T[:, :, 0], one k at a
+time), takes its own: every D(x) is then circulant with first column
+x @ first, which the DFT diagonalizes (Gray, "Toeplitz and Circulant
+Matrices: A Review", 2006), so ||D(x)|| = max |fft(x @ first)|.  A family off
+by one ulp in one entry takes the generic kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +54,7 @@ _CONTRACTION_LIMIT = 16
 # Largest residual || T_k* T_k - (1/n) I || that passes as a scaled isometry.
 _ISOMETRY_TOL = 1e-10
 
-# Trials per concentration block, at least.  Each block reads the whole
+# Trials per generic concentration block, at least.  Each block reads the whole
 # (n, n*n) family once, so blocks sized by scratch alone (2 trials at n = 256,
 # where the family is 128 MB) ran 3x slower than blocks of 16.
 _MIN_BLOCK = 16
@@ -152,9 +157,11 @@ class ConcentrationEstimate:
     ratio: float
     distribution: str
     seed: int
+    # which kernel ran, not part of the estimate: "circulant" or "generic"
+    route: str = field(default="generic", compare=False)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {key: value for key, value in asdict(self).items() if key != "route"}
 
 
 def concentration_estimate(T, distribution: str, trials: int,
@@ -177,18 +184,26 @@ def concentration_estimate(T, distribution: str, trials: int,
     if n < 2:
         raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {n}")
     flat = stack.reshape(n, -1)
+    i = np.arange(n)
+    shift, first = (i[:, None] - i) % n, stack[:, :, 0]
+    circulant = all(np.array_equal(t, c[shift]) for t, c in zip(stack, first))
 
     def kernel(u):
         x = rng.rademacher(u) if distribution == RADEMACHER else 2.0 * u - 1.0
+        if circulant:   # so is D(x), hence normal: its norm is its largest |eigenvalue|
+            return np.max(np.abs(np.fft.fft(x @ first, axis=1)), axis=1)
         return operator_norms((x @ flat).reshape(len(u), n, n))
 
-    devs = rng.mc_values(seed, rng.DISTR, trials, n, 3 * flat.shape[1] * flat.itemsize,
-                         kernel, min_trials=_MIN_BLOCK)
+    # the circulant kernel's scratch: x, x @ first, its FFT and their moduli
+    row_bytes = 48 * n if circulant else 3 * flat.shape[1] * flat.itemsize
+    devs = rng.mc_values(seed, rng.DISTR, trials, n, row_bytes, kernel,
+                         min_trials=1 if circulant else _MIN_BLOCK)
     mean_dev = float(np.mean(devs))
     scale = math.sqrt(math.log(n))
     return ConcentrationEstimate(n=n, trials=trials, mean_dev=mean_dev,
                                  scale=scale, ratio=mean_dev / scale,
-                                 distribution=distribution, seed=int(seed))
+                                 distribution=distribution, seed=int(seed),
+                                 route="circulant" if circulant else "generic")
 
 
 @dataclass(frozen=True)

@@ -384,6 +384,59 @@ def test_int_list_elements_follow_the_int_rule(m_list):
     assert validate(raw).params["M_list"] == [8, 16]
 
 
+@pytest.fixture
+def etf7(tmp_path, capsys):
+    frame = tmp_path / "etf.json"
+    run_cli(capsys, "construct", "--kind", "etf", "--N", 7, "--M", 3, "--out", frame)
+    return frame
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--K", 0), "params.K"),
+    (("--K", 2), "params.K"),   # below n = 3
+    (("--K", 9), "params.K"),   # above N = 7
+    # no condition number is below 1, so a lower C fails after a whole scan
+    (("--K", 4, "--C", 0.5), "params.C"),
+    (("--K", 4, "--C", -1), "params.C"),
+], ids=["K-0", "K-below-n", "K-above-N", "C-half", "C-negative"])
+def test_ner_refuses_K_and_C_out_of_range(tmp_path, capsys, etf7, flags, field):
+    out = tmp_path / "cert.json"
+    code, result = run_cli(capsys, "ner", "--frame", etf7, *flags, "--json", out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == field
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--K", 3), ("--K", 7), ("--K", 4, "--C", 1)],
+                         ids=["K-n", "K-N", "C-1"])
+def test_ner_K_and_C_range_ends_run(tmp_path, capsys, etf7, flags):
+    code, _ = run_cli(capsys, "ner", "--frame", etf7, *flags, "--json", tmp_path / "c.json")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, route", [
+    (("rudelson", "--frame", "HARMONIC"), "harmonic"),
+    (("rudelson", "--frame", "ETF"), "generic"),
+    (("probe", "--n", 5, "--cond-limit", 1e12), "circulant"),
+    (("probe", "--n", 4, "--family", "file", "--family-file", "FAMILY"), "generic"),
+], ids=["harmonic", "etf", "circulant", "family-file"])
+def test_route_counter_on_stdout_only(tmp_path, capsys, argv, route):
+    paths = {name: tmp_path / f"{name}.json" for name in ("HARMONIC", "ETF", "FAMILY")}
+    run_cli(capsys, "construct", "--kind", "harmonic", "--n", 4, "--M", 12,
+            "--out", paths["HARMONIC"])
+    run_cli(capsys, "construct", "--kind", "etf", "--N", 7, "--M", 3, "--out", paths["ETF"])
+    # U_j = e_j e_j^T: every +-1 probe gives D = diag(x)
+    paths["FAMILY"].write_text(json.dumps(
+        [DenseMatrix(np.diag(np.eye(4)[j])).to_json_dict() for j in range(4)]))
+    out = tmp_path / "out.json"
+    code, manifest = run_cli(capsys, *[paths.get(a, a) for a in argv],
+                             "--trials", 20, "--seed", 1, "--json", out)
+    assert code == 0
+    assert manifest["counters"]["route"] == route
+    assert b"route" not in out.read_bytes()
+
+
 def test_refuted_certificate_counters(tmp_path, capsys):
     cols = np.array([[1.0, 1.0, 0.0, 0.6], [0.0, 0.0, 1.0, 0.8]])
     frame = tmp_path / "dup.json"

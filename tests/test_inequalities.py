@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,24 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import (
+    Frame,
     InvalidDimension,
     NonFiniteEntry,
     OutOfRange,
     ShapeMismatch,
     SignEnsemble,
     TooLarge,
+    difference_set_etf,
     exact_sign_expectation,
+    find_difference_set,
     harmonic_frame,
     khintchine_check,
     khintchine_constant,
     operator_norm,
     operator_norms,
+    renormalize,
+    rng,
     rudelson_check,
     scaled_onb_frame,
     schatten_norm,
     stirling_bound_check,
 )
 from framelab import inequalities
+from framelab.cli import main
 from framelab.inequalities import _schatten_powers
 
 
@@ -245,6 +252,72 @@ def test_rudelson_deterministic():
     a = rudelson_check(f, SignEnsemble(count=16, trials=500, seed=2))
     b = rudelson_check(f, SignEnsemble(count=16, trials=500, seed=2))
     assert a == b
+
+
+def generic_norms(v, signs):
+    """The generic kernel: the top eigenvalue magnitude of each rank-one sum."""
+    return operator_norms((v * signs[:, None, :]) @ v.conj().T, hermitian=True)
+
+
+@pytest.mark.parametrize("normalization", ["recon", "unit"])
+@pytest.mark.parametrize("n, M", [(2, 8), (4, 14), (16, 64), (64, 256)])
+def test_harmonic_route_matches_generic_kernel(mc_spy, n, M, normalization):
+    f = renormalize(harmonic_frame(n, M), normalization)
+    est = rudelson_check(f, SignEnsemble(count=M, trials=40, seed=5))
+    assert est.route == "harmonic"
+    want = generic_norms(f.array, rng.rademacher(rng.uniforms(5, rng.SIGNS, 0, 40, M)))
+    np.testing.assert_allclose(mc_spy[-1], want, rtol=1e-12, atol=0.0)
+    assert est.lhs == pytest.approx(float(np.mean(want)), rel=1e-12)
+
+
+@pytest.mark.parametrize("normalization", ["recon", "unit"])
+@pytest.mark.parametrize("n, M", [(2, 8), (4, 14)])
+def test_exact_harmonic_route_matches_generic_kernel(n, M, normalization):
+    f = renormalize(harmonic_frame(n, M), normalization)
+    est = rudelson_check(f, SignEnsemble(count=M, exact=True))
+    assert est.route == "harmonic"
+    signs = np.insert(2.0 * rng.pattern_rows(M - 1) - 1.0, 0, 1.0, axis=1)
+    want = float(np.mean(generic_norms(f.array, signs)))
+    assert est.lhs == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: harmonic_frame(4, 14, row_set=(0, 1, 2, 4)),
+    lambda: harmonic_frame(4, 14, row_set=(1, 2, 3, 4)),
+    lambda: harmonic_frame(4, 14, real=True),
+    lambda: difference_set_etf(find_difference_set(13, 4)),
+    lambda: scaled_onb_frame(4, 3),
+], ids=["row-set", "shifted-rows", "real-harmonic", "etf", "scaled-onb"])
+def test_other_frames_take_generic_route(mc_spy, make):
+    f = make()
+    est = rudelson_check(f, SignEnsemble(count=f.M, trials=40, seed=6))
+    assert est.route == "generic"
+    want = generic_norms(f.array, rng.rademacher(rng.uniforms(6, rng.SIGNS, 0, 40, f.M)))
+    np.testing.assert_allclose(mc_spy[-1], want, rtol=1e-12, atol=0.0)
+    assert rudelson_check(f, SignEnsemble(count=f.M, exact=True)).route == "generic"
+    assert "route" not in est.to_json_dict()
+
+
+def test_harmonic_frame_off_by_one_ulp_takes_generic_route():
+    v = harmonic_frame(4, 14).array.copy()
+    v[2, 5] = complex(np.nextafter(v[2, 5].real, 2.0), v[2, 5].imag)
+    ens = SignEnsemble(count=14, trials=40, seed=6)
+    est = rudelson_check(v, ens)
+    assert est.route == "generic"
+    assert est.lhs == pytest.approx(rudelson_check(harmonic_frame(4, 14), ens).lhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("normalization", ["recon", "unit"])
+def test_constructed_harmonic_file_takes_harmonic_route(tmp_path, capsys, normalization):
+    path = tmp_path / "h.json"
+    assert main(["construct", "--kind", "harmonic", "--n", "4", "--M", "14",
+                 "--normalization", normalization, "--out", str(path)]) == 0
+    capsys.readouterr()
+    f = Frame.from_json_dict(json.loads(path.read_text()))
+    ens = SignEnsemble(count=14, trials=40, seed=8)
+    est = rudelson_check(f, ens)
+    assert est.route == "harmonic"
+    assert est == rudelson_check(renormalize(harmonic_frame(4, 14), normalization), ens)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ samples: every estimate matches a per-trial reference loop written here that
 regenerates each trial on its own, the erasure errors are bit-identical
 across block sizes, and memory does not grow with the trial count.
 
+The two structured inputs, the circulant family and the harmonic frame,
+take their own kernels (an FFT per trial); their per-trial values are
+bit-identical across block sizes too, and the generic kernels, which every
+other input takes, keep their per-trial reference loops.
+
 Exact sign modes run the same block kernels on the rows of
 ``rng.pattern_values``: row i holds the bits of i, and every exact average
 matches a loop over ``itertools.product`` that takes one SVD or norm per
@@ -192,6 +197,61 @@ def test_concentration_matches_per_trial_loop(block, distribution):
     assert est.mean_dev == pytest.approx(float(np.mean(devs)), rel=1e-12)
 
 
+def test_generic_rudelson_matches_per_trial_loop(block):
+    f = harmonic_frame(4, 12, row_set=(0, 1, 2, 5))
+    v = f.array
+    values = [top_singular_value((v * signs(5, t, 12)[None, :]) @ v.conj().T)
+              for t in range(30)]
+    est = rudelson_check(f, SignEnsemble(count=12, trials=30, seed=5))
+    assert est.route == "generic"
+    mean, stderr = mean_stderr(values)
+    assert est.lhs == pytest.approx(mean, rel=1e-12)
+    assert est.lhs_stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("distribution", ["rademacher", "uniform"])
+def test_generic_concentration_matches_per_trial_loop(block, distribution):
+    n = 6
+    t_stack = np.random.default_rng(6).standard_normal((n, n, n))
+    devs = []
+    for t in range(30):
+        u = trial_uniforms(4, rng.DISTR, t, n)
+        x = np.where(u < 0.5, -1.0, 1.0) if distribution == "rademacher" else 2.0 * u - 1.0
+        devs.append(top_singular_value(np.tensordot(x, t_stack, 1)))
+    est = concentration_estimate(t_stack, distribution, 30, 4)
+    assert est.route == "generic"
+    assert est.mean_dev == pytest.approx(float(np.mean(devs)), rel=1e-12)
+
+
+STRUCTURED = {
+    "circulant": lambda: concentration_estimate(
+        regroup(circulant_dictionary(9)), "uniform", 300, 3),
+    "harmonic": lambda: rudelson_check(
+        harmonic_frame(4, 14), SignEnsemble(count=14, trials=300, seed=3)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(STRUCTURED))
+def test_structured_kernels_bit_identical_across_block_sizes(monkeypatch, mc_spy, route):
+    estimates = []
+    for size in BLOCKS:
+        monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
+        estimates.append(STRUCTURED[route]())
+        assert estimates[-1].route == route
+    assert all(np.array_equal(mc_spy[0], other) for other in mc_spy[1:])
+    assert len(mc_spy) == len(BLOCKS) and len(set(estimates)) == 1
+
+
+def test_exact_harmonic_route_bit_identical_across_block_sizes(monkeypatch):
+    means = set()
+    for size in BLOCKS:
+        monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
+        est = rudelson_check(harmonic_frame(4, 10), SignEnsemble(count=10, exact=True))
+        assert est.route == "harmonic"
+        means.add(est.lhs)
+    assert len(means) == 1
+
+
 def sign_patterns(count):
     return [np.array(eps) for eps in itertools.product((-1.0, 1.0), repeat=count)]
 
@@ -293,10 +353,14 @@ ESTIMATORS = {
         harmonic_frame(2, 8), deterministic_unit_vector(2, 1), trials, 1),
     "rudelson": lambda trials: rudelson_check(
         harmonic_frame(2, 6), SignEnsemble(count=6, trials=trials, seed=1)),
+    "rudelson-generic": lambda trials: rudelson_check(
+        harmonic_frame(2, 6, row_set=(0, 3)), SignEnsemble(count=6, trials=trials, seed=1)),
     "khintchine": lambda trials: khintchine_check(
         np.eye(2)[None].repeat(3, axis=0), 1, SignEnsemble(count=3, trials=trials, seed=1)),
     "concentration": lambda trials: concentration_estimate(
         regroup(circulant_dictionary(3)), "rademacher", trials, 1),
+    "concentration-generic": lambda trials: concentration_estimate(
+        np.eye(3)[:, None].repeat(3, axis=1), "rademacher", trials, 1),
 }
 
 

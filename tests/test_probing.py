@@ -18,6 +18,7 @@ from framelab import (
     concentration_estimate,
     contraction_check,
     khintchine_check,
+    operator_norms,
     probe_roundtrip,
     recover_coefficients,
     regroup,
@@ -255,6 +256,61 @@ def test_concentration_deterministic():
     a = concentration_estimate(t, "rademacher", 100, 9)
     b = concentration_estimate(t, "rademacher", 100, 9)
     assert a == b
+
+
+def circulant_stack(first):
+    """T_k circulant with first column first[k]: T_k[a, b] = first[k, (a - b) mod n]."""
+    i = np.arange(len(first))
+    return first[:, (i[:, None] - i) % len(first)]
+
+
+def generic_devs(t, distribution, trials, seed):
+    """The generic kernel on the estimator's uniforms: one norm per dictionary."""
+    n = len(t)
+    u = rng.uniforms(seed, rng.DISTR, 0, trials, n)
+    x = rng.rademacher(u) if distribution == "rademacher" else 2.0 * u - 1.0
+    return operator_norms((x @ t.reshape(n, -1)).reshape(trials, n, n))
+
+
+@pytest.mark.parametrize("family", ["shifts", "real", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 9, 64])
+@pytest.mark.parametrize("distribution", ["rademacher", "uniform"])
+def test_circulant_route_matches_generic_kernel(mc_spy, family, n, distribution):
+    stream = np.random.default_rng(n)
+    if family == "shifts":
+        t = regroup(circulant_dictionary(n))
+    else:
+        first = stream.standard_normal((n, n))
+        if family == "complex":
+            first = first + 1j * stream.standard_normal((n, n))
+        t = circulant_stack(first)
+    est = concentration_estimate(t, distribution, 60, 7)
+    assert est.route == "circulant"
+    want = generic_devs(t, distribution, 60, 7)
+    np.testing.assert_allclose(mc_spy[-1], want, rtol=1e-12, atol=0.0)
+    assert est.mean_dev == pytest.approx(float(np.mean(want)), rel=1e-12)
+
+
+@pytest.mark.parametrize("change", ["ulp-nonzero", "ulp-zero", "indicators"])
+def test_non_circulant_families_take_generic_route(mc_spy, change):
+    t = regroup(circulant_dictionary(9))
+    assert t[4, 2, 6] == 1.0 / 3.0 and t[4, 2, 7] == 0.0
+    near = t.copy()
+    if change == "ulp-nonzero":   # T_4 holds 1/3 where a - b = 5 mod 9
+        near[4, 2, 6] = np.nextafter(near[4, 2, 6], 1.0)
+    elif change == "ulp-zero":
+        near[4, 2, 7] = np.nextafter(0.0, 1.0)
+    else:
+        near = regroup(indicator_family(9))
+    est = concentration_estimate(near, "uniform", 60, 2)
+    assert est.route == "generic"
+    np.testing.assert_allclose(mc_spy[-1], generic_devs(near, "uniform", 60, 2),
+                               rtol=1e-12, atol=0.0)
+    if change != "indicators":   # one ulp moves the mean by rounding only
+        circulant = concentration_estimate(t, "uniform", 60, 2)
+        assert circulant.route == "circulant"
+        assert est.mean_dev == pytest.approx(circulant.mean_dev, rel=1e-12)
+    assert "route" not in est.to_json_dict()
 
 
 # ---------------------------------------------------------------------------
