@@ -236,12 +236,16 @@ def _validate_combinations(command: str, params: dict):
             bad("N", "etf needs N (modulus) and M (set size)")
     if command == "khintchine" and not params["exact"] and params["trials"] < 1:
         bad("trials", "must be >= 1 unless exact mode is set")
+    if command == "khintchine" and params["exact"] and params["count"] > rng.ENUM_LIMIT:
+        bad("count", f"exact mode enumerates 2^count patterns: must be <= {rng.ENUM_LIMIT}")
     if command == "ner" and params["mode"] == SAMPLED and params["samples"] < 1:
         bad("samples", "sampled mode needs samples >= 1")
     if command == "sweep" and min(params["M_list"]) < params["n"]:
         bad("M_list", f"every M must be >= n = {params['n']}")
     if command == "probe" and params["family"] == "file" and not params.get("family_file"):
         bad("family_file", "family 'file' needs params.family_file")
+    if command == "probe" and params["family"] == "circulant" and params.get("family_file"):
+        bad("family_file", "read only with family 'file'")
     if command == "probe" and params["family"] == "circulant" and params["n"] < 3:
         bad("n", "the circulant family needs n >= 3: every probe at n = 2 is singular")
 
@@ -396,6 +400,12 @@ def _trial_counters(trials: int, seconds: float) -> dict:
     return {"trials": trials, "trials_per_s": _per_s(trials, seconds)}
 
 
+def _fields(record, counters: bool = False) -> dict:
+    """A record's result fields, or with ``counters`` its work counters: the
+    fields declared ``compare=False``, which go to stdout and never to a file."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.compare != counters}
+
+
 # --------------------------------------------------------------------------
 # command implementations
 # --------------------------------------------------------------------------
@@ -460,16 +470,16 @@ def _run_ner(cfg: ExperimentConfig):
         result = certify(f, C=p["C"], K=p["K"], mode=p["mode"],
                          samples=p["samples"], seed=cfg.seed or 0)
         cert = result.certificate
-        doc = {"passed": result.passed, "required_cond": result.required_cond,
-               "certificate": cert.to_json_dict()}
+        doc = {"passed": result.passed, "required_cond": result.required_cond}
     else:
         cert = worst_condition(f, p["K"], mode=p["mode"], samples=p["samples"],
                                seed=cfg.seed or 0)
-        doc = {"certificate": cert.to_json_dict()}
+        doc = {}
     scan_s = time.perf_counter() - start
-    # stdout only: the certificate file stays byte-identical across reruns
-    counters = {"subsets_examined": cert.subsets_examined,
-                "subsets_svd": cert.subsets_svd,
+    doc["certificate"] = _fields(cert)
+    if cert.worst_cond == math.inf:   # refuted: standard JSON has no Infinity
+        doc["certificate"]["worst_cond"] = "inf"
+    counters = {"subsets_examined": cert.subsets_examined, **_fields(cert, counters=True),
                 "subsets_per_s": _per_s(cert.subsets_examined, scan_s)}
     return _json_bytes(doc), doc, counters
 
@@ -481,8 +491,8 @@ def _run_rudelson(cfg: ExperimentConfig):
     start = time.perf_counter()
     est = rudelson_check(f, ens)
     counters = {**_trial_counters(est.trials, time.perf_counter() - start),
-                "route": est.route}
-    doc = est.to_json_dict()
+                **_fields(est, counters=True)}
+    doc = _fields(est)
     return _json_bytes(doc), doc, counters
 
 
@@ -497,7 +507,7 @@ def _run_khintchine(cfg: ExperimentConfig):
     est = khintchine_check(family, p["m"], ens)
     seconds = time.perf_counter() - start
     counters = {} if est.exact else _trial_counters(est.trials, seconds)
-    doc = est.to_json_dict()
+    doc = _fields(est)
     return _json_bytes(doc), doc, counters
 
 
@@ -525,26 +535,25 @@ def _run_probe(cfg: ExperimentConfig):
     start = time.perf_counter()
     conc = concentration_estimate(t, p["dist"], p["trials"], cfg.seed)
     counters = {**_trial_counters(conc.trials, time.perf_counter() - start),
-                "route": conc.route}
+                **_fields(conc, counters=True)}
     doc = {
         "n": n,
         "family": p["family"],
-        "isometry": {"max_residual": iso.max_residual, "passed": iso.passed},
+        "isometry": _fields(iso),
         "roundtrip": {
             "lambda": lam,
             "lambda_hat": np.stack((lam_hat.real, lam_hat.imag), axis=1),
             "rel_error": round_.rel_error,
             "cond": round_.cond,
         },
-        "concentration": conc.to_json_dict(),
+        "concentration": _fields(conc),
     }
     return _json_bytes(doc), {"rel_error": round_.rel_error,
                               "concentration_ratio": conc.ratio}, counters
 
 
 def _run_stirling(cfg: ExperimentConfig):
-    rows = [stirling_bound_check(m).to_json_dict()
-            for m in range(1, cfg.params["m_max"] + 1)]
+    rows = [_fields(stirling_bound_check(m)) for m in range(1, cfg.params["m_max"] + 1)]
     doc = {"m_max": cfg.params["m_max"],
            "all_hold": all(r["holds"] for r in rows),
            "rows": rows}
@@ -612,13 +621,13 @@ _COMMANDS: dict[str, Command] = {
 def run(cfg: ExperimentConfig) -> dict:
     """Execute one validated command and return its manifest.
 
-    ``counters`` reports the work done: subsets examined, subsets sent to
-    the exact SVD and the scan rate for ``ner``; Monte Carlo trials and the
-    trial rate for ``erasure``, ``sweep``, ``rudelson``, ``khintchine``
-    (Monte Carlo mode) and ``probe`` (its concentration estimate), and for
-    ``rudelson`` and ``probe`` the kernel's ``route``: ``"harmonic"`` or
-    ``"circulant"`` for the structured input, else ``"generic"``.  It is
-    empty for the other commands.
+    ``counters`` reports the work done: the ``compare=False`` fields of the
+    result record (``subsets_svd`` of a ``ner`` certificate, the ``route``
+    of a ``rudelson`` or ``probe`` estimate), which no output file carries,
+    plus subsets examined and the scan rate for ``ner``, and Monte Carlo
+    trials and the trial rate for ``erasure``, ``sweep``, ``rudelson``,
+    ``khintchine`` (Monte Carlo mode) and ``probe``.  It is empty for the
+    other commands.
     ``env`` names what the results depend on besides the config: the Python
     and NumPy versions and the Monte Carlo stream version.
     """

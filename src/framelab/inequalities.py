@@ -48,7 +48,7 @@ against a per-pattern loop, as do the two kernels'.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -112,9 +112,6 @@ class InequalityEstimate:
     exact: bool
     # which kernel ran, not part of the estimate: "harmonic" or "generic"
     route: str = field(default="generic", compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if key != "route"}
 
 
 def khintchine_constant(m: int) -> float:
@@ -256,9 +253,6 @@ class StirlingBound:
     lhs: float
     rhs: float
     holds: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def stirling_bound_check(m: int) -> StirlingBound:

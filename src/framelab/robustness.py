@@ -106,17 +106,6 @@ class NerCertificate:
     # work counter, not part of the certificate: subsets sent to the SVD
     subsets_svd: int = field(default=0, compare=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "K": self.K,
-            "p": self.p,
-            "worst_cond": self.worst_cond if math.isfinite(self.worst_cond) else "inf",
-            "worst_subset": list(self.worst_subset),
-            "mode": self.mode,
-            "subsets_examined": self.subsets_examined,
-        }
-
 
 @dataclass(frozen=True)
 class CertifyResult:

@@ -1,15 +1,18 @@
 """CLI exit contract for non-finite and malformed input, and the work counters."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from framelab import (ConfigInvalid, DenseMatrix, Frame, circulant_dictionary, harmonic_frame,
-                      worst_condition)
-from framelab.cli import main, validate
+from framelab import (ConcentrationEstimate, ConfigInvalid, DenseMatrix, Frame,
+                      InequalityEstimate, NerCertificate, StirlingBound, circulant_dictionary,
+                      harmonic_frame, worst_condition)
+from framelab.cli import _fields, main, validate
+from framelab.probing import IsometryReport
 
 
 def _reject_constant(name):
@@ -322,6 +325,9 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
       "--json"), "params.m"),
     (("khintchine", "--m", 0, "--count", 2, "--dim", 2, "--seed", 1, "--exact",
       "--json"), "params.m"),
+    # exact mode enumerates 2^count sign patterns, at most rng.ENUM_LIMIT = 20
+    (("khintchine", "--m", 2, "--count", 21, "--dim", 2, "--seed", 1, "--exact",
+      "--json"), "params.count"),
     (("construct", "--kind", "scaled-onb", "--n", 2, "--copies", 0, "--out"),
      "params.copies"),
     # copies is range-checked even where the kind ignores it
@@ -340,9 +346,12 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
      "params.cond_limit"),
     (("probe", "--n", 4, "--trials", 10, "--seed", 1, "--cond-limit", -1, "--json"),
      "params.cond_limit"),
-], ids=["m-31", "m-0", "copies-0", "copies-0-harmonic", "harmonic-n-0", "onb-n-0",
-        "harmonic-M-below-n", "real-harmonic-M-n", "sweep-M-below-n", "cond-limit-0",
-        "cond-limit-negative"])
+    # the circulant family never reads a family file
+    (("probe", "--n", 3, "--family-file", "f.json", "--trials", 5, "--seed", 1, "--json"),
+     "params.family_file"),
+], ids=["m-31", "m-0", "exact-count-21", "copies-0", "copies-0-harmonic", "harmonic-n-0",
+        "onb-n-0", "harmonic-M-below-n", "real-harmonic-M-n", "sweep-M-below-n",
+        "cond-limit-0", "cond-limit-negative", "family-file-circulant"])
 def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     out = tmp_path / "out.json"
     code, result = run_cli(capsys, *argv, out)
@@ -352,10 +361,19 @@ def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+def test_monte_carlo_khintchine_count_has_no_enumeration_cap(tmp_path, capsys):
+    code, manifest = run_cli(capsys, "khintchine", "--m", 2, "--count", 21, "--dim", 2,
+                             "--seed", 1, "--trials", 10, "--json", tmp_path / "k.json")
+    assert code == 0
+    assert manifest["counters"]["trials"] == 10
+
+
 def test_schema_range_ends_pass_validation():
     raw = {"command": "khintchine", "seed": 1, "output": None,
            "params": {"m": 30, "count": 2, "dim": 2, "exact": True}}
     assert validate(raw).params["m"] == 30
+    raw["params"] = {"m": 2, "count": 20, "dim": 2, "exact": True}
+    assert validate(raw).params["count"] == 20
     raw = {"command": "construct", "seed": None, "output": "x.json",
            "params": {"kind": "scaled-onb", "n": 2, "copies": 1}}
     assert validate(raw).params["copies"] == 1
@@ -465,8 +483,9 @@ def test_ner_reports_subsets_sent_to_the_svd(tmp_path, capsys):
     assert counters["subsets_svd"] == cert.subsets_svd
     assert 1 <= counters["subsets_svd"] < counters["subsets_examined"] // 10
     # stdout only: the certificate file is what it was without the counter
-    assert json.loads(out.read_text()) == {"certificate": cert.to_json_dict()}
-    assert "subsets_svd" not in cert.to_json_dict()
+    assert json.loads(out.read_text()) == {
+        "certificate": {**_fields(cert), "worst_subset": list(cert.worst_subset)}}
+    assert "subsets_svd" not in _fields(cert)
 
 
 def test_refuted_certificate_counts_svd_subsets_up_to_the_deficient_one(tmp_path, capsys):
@@ -517,3 +536,39 @@ def test_exact_khintchine_reports_no_trial_counters(tmp_path, capsys):
                              "--exact", "--seed", 1, "--json", tmp_path / "k.json")
     assert code == 0
     assert manifest["counters"] == {}
+
+
+@pytest.mark.parametrize("argv, records, counted", [
+    (("ner", "--frame", "ETF", "--K", 4), lambda d: [(d["certificate"], NerCertificate)],
+     True),
+    (("ner", "--frame", "DUP", "--K", 2, "--C", 5),
+     lambda d: [(d["certificate"], NerCertificate)], True),
+    (("rudelson", "--frame", "ETF", "--trials", 20, "--seed", 1),
+     lambda d: [(d, InequalityEstimate)], True),
+    # the Khintchine check always takes the generic kernel: its route tells nothing
+    (("khintchine", "--m", 2, "--count", 4, "--dim", 3, "--trials", 20, "--seed", 1),
+     lambda d: [(d, InequalityEstimate)], False),
+    (("probe", "--n", 5, "--trials", 20, "--seed", 1, "--cond-limit", 1e12),
+     lambda d: [(d["isometry"], IsometryReport), (d["concentration"], ConcentrationEstimate)],
+     True),
+    (("stirling", "--m-max", 4), lambda d: [(row, StirlingBound) for row in d["rows"]],
+     False),
+], ids=["ner", "ner-refuted", "rudelson", "khintchine", "probe", "stirling"])
+def test_records_split_between_file_and_counters(tmp_path, capsys, argv, records, counted):
+    """A record's compare=True fields are written; its compare=False fields are counters."""
+    paths = {"ETF": tmp_path / "etf.json", "DUP": tmp_path / "dup.json"}
+    run_cli(capsys, "construct", "--kind", "etf", "--N", 7, "--M", 3, "--out", paths["ETF"])
+    cols = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])   # (0, 1) is rank deficient
+    paths["DUP"].write_text(json.dumps(Frame(n=2, M=3, vectors=DenseMatrix(cols),
+                                             normalization="unit").to_json_dict()))
+    out = tmp_path / "out.json"
+    code, manifest = run_cli(capsys, *[paths.get(a, a) for a in argv], "--json", out)
+    assert code == 0
+    text = out.read_text()
+    found = records(json.loads(text))
+    assert found
+    for record, cls in found:
+        assert set(record) == {f.name for f in fields(cls) if f.compare}
+        for name in (f.name for f in fields(cls) if not f.compare):
+            assert f'"{name}"' not in text
+            assert (name in manifest["counters"]) == counted

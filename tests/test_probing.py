@@ -24,6 +24,7 @@ from framelab import (
     regroup,
 )
 from framelab import rng
+from framelab.cli import _fields
 
 
 def indicator_family(n):
@@ -85,6 +86,19 @@ def test_isometry_circulant_exact():
 def test_isometry_indicator_family_fails():
     rep = check_scaled_isometry(regroup(indicator_family(4)))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_isometry_residual_matches_a_per_k_svd(complex_):
+    # n = 64 spans several blocks; the doubled T_63 puts the largest residual in the last
+    r = np.random.default_rng(5)
+    t = r.standard_normal((64, 64, 64))
+    if complex_:
+        t = t + 1j * r.standard_normal((64, 64, 64))
+    t[-1] *= 2.0
+    eye = np.eye(64) / 64
+    want = max(np.linalg.norm(tk.conj().T @ tk - eye, 2) for tk in t)
+    assert check_scaled_isometry(t).max_residual == pytest.approx(want, rel=1e-12)
 
 
 def test_isometry_scaled_failure_residual():
@@ -310,7 +324,7 @@ def test_non_circulant_families_take_generic_route(mc_spy, change):
         circulant = concentration_estimate(t, "uniform", 60, 2)
         assert circulant.route == "circulant"
         assert est.mean_dev == pytest.approx(circulant.mean_dev, rel=1e-12)
-    assert "route" not in est.to_json_dict()
+    assert "route" not in _fields(est)
 
 
 # ---------------------------------------------------------------------------
