@@ -13,6 +13,13 @@ config files alike against it, so every bad value it sees exits 2 with the
 same ``ConfigInvalid`` document naming its ``field``.  What argparse refuses
 first (an unknown flag, ``--n abc``) exits 2 with its usage message instead.
 
+:func:`run` times three phases, reported as the manifest's ``timings`` and
+summed in ``duration_seconds``: ``load`` decodes, once, each file whose
+parameter declares a decoder (``Param.load``), ``compute`` runs the runner on
+the config and those files, and ``write`` writes its bytes.  Runners hold no
+timer: they return raw work counts, and one rule, ``_RATES``, turns each into
+a rate over the compute time.
+
 One writer, ``_json_bytes``, makes every JSON output file, and its bytes are
 ``json.dumps(doc, sort_keys=True, allow_nan=False, indent=2) + "\\n"``.  With
 an indent ``json`` falls back to its pure-Python encoder, so a NumPy array in
@@ -91,6 +98,7 @@ class Param:
     ge: float | None = None    # value >= ge
     gt: float | None = None    # value > gt
     le: float | None = None    # value <= le
+    load: Callable | None = None   # decodes the JSON file the value names
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ class Command:
     output_flag: str           # --out, --csv or --json
     output_required: bool
     seeded: bool               # needs a seed whatever its params
-    runner: Callable
+    runner: Callable           # (config, decoded files) -> (bytes, result, counts)
 
 
 @dataclass(frozen=True)
@@ -216,6 +224,9 @@ def validate(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(command=command, seed=seed, params=params, output=output)
 
 
+_CONSTRUCT_NEEDS = {"scaled-onb": ("n",), "harmonic": ("n", "M"), "etf": ("N", "M")}
+
+
 def _validate_combinations(command: str, params: dict):
     """The rules that tie one parameter to another."""
     def bad(field, msg):
@@ -223,17 +234,14 @@ def _validate_combinations(command: str, params: dict):
 
     if command == "construct":
         kind = params["kind"]
-        if kind == "scaled-onb" and params.get("n") is None:
-            bad("n", "required for scaled-onb")
+        for name in _CONSTRUCT_NEEDS[kind]:
+            if params.get(name) is None:
+                bad(name, f"required for kind {kind}")
         if kind == "harmonic":
-            n, M = params.get("n"), params.get("M")
-            if n is None or M is None:
-                bad("n", "harmonic needs n and M")
+            n, M = params["n"], params["M"]
             least = n + 1 if params["real"] and n % 2 == 0 else n   # the library's rule
             if M < least:
                 bad("M", f"must be >= {least} for a harmonic frame of n = {n}")
-        if kind == "etf" and (params.get("N") is None or params.get("M") is None):
-            bad("N", "etf needs N (modulus) and M (set size)")
     if command == "khintchine" and not params["exact"] and params["trials"] < 1:
         bad("trials", "must be >= 1 unless exact mode is set")
     if command == "khintchine" and params["exact"] and params["count"] > rng.ENUM_LIMIT:
@@ -391,15 +399,6 @@ def _lambda_from_json(doc) -> np.ndarray:
     return lam
 
 
-def _per_s(count: int, seconds: float) -> float:
-    return count / seconds if seconds > 0 else 0.0
-
-
-def _trial_counters(trials: int, seconds: float) -> dict:
-    # stdout only: output files carry no timing, so reruns stay byte-identical
-    return {"trials": trials, "trials_per_s": _per_s(trials, seconds)}
-
-
 def _fields(record, counters: bool = False) -> dict:
     """A record's result fields, or with ``counters`` its work counters: the
     fields declared ``compare=False``, which go to stdout and never to a file."""
@@ -410,7 +409,12 @@ def _fields(record, counters: bool = False) -> dict:
 # command implementations
 # --------------------------------------------------------------------------
 
-def _run_construct(cfg: ExperimentConfig):
+# A runner maps (config, decoded files) to (output bytes, result, work counts).
+# It encodes its own output: a variant that left encoding to run() raised
+# perfbench pipeline's peak RSS by 3.4 MB (67.6 -> 71.0): construct then frees
+# its Frame before building the 4.7 MB text, which changes glibc's heap layout.
+
+def _run_construct(cfg: ExperimentConfig, files: dict):
     p = cfg.params
     kind = p["kind"]
     if kind == "scaled-onb":
@@ -427,9 +431,9 @@ def _run_construct(cfg: ExperimentConfig):
                                           "normalization": f.normalization}, {}
 
 
-def _run_erasure(cfg: ExperimentConfig):
+def _run_erasure(cfg: ExperimentConfig, files: dict):
     p = cfg.params
-    f = _decode(p["frame"], Frame.from_json_dict)
+    f = files["frame"]
     renormalized = f.normalization != RECON
     if renormalized:
         f = renormalize(f, RECON)
@@ -439,33 +443,26 @@ def _run_erasure(cfg: ExperimentConfig):
         raise ConfigInvalid(f"params.frame: not a tight frame, residual "
                             f"{tight.residual:.3g} of alpha*S - I", field="params.frame")
     x = deterministic_unit_vector(f.n, cfg.seed)
-    start = time.perf_counter()
     report = mc_error_estimate(f, x, p["trials"], cfg.seed, p["keep_prob"])
-    counters = _trial_counters(report.trials, time.perf_counter() - start)
-    return _erasure_csv([report]), {"mean_error": report.mean_error,
-                                    "ratio": report.ratio,
-                                    "renormalized": renormalized,
-                                    "tight_residual": tight.residual}, counters
+    result = {"mean_error": report.mean_error, "ratio": report.ratio,
+              "renormalized": renormalized, "tight_residual": tight.residual}
+    return _erasure_csv([report]), result, {"trials": report.trials}
 
 
-def _run_sweep(cfg: ExperimentConfig):
+def _run_sweep(cfg: ExperimentConfig, files: dict):
     p = cfg.params
-    start = time.perf_counter()
     reports = redundancy_sweep(p["n"], p["M_list"], p["trials"], cfg.seed,
                                p["keep_prob"])
-    counters = _trial_counters(sum(r.trials for r in reports),
-                               time.perf_counter() - start)
     return (_erasure_csv(reports), {"mean_errors": [r.mean_error for r in reports]},
-            counters)
+            {"trials": sum(r.trials for r in reports)})
 
 
-def _run_ner(cfg: ExperimentConfig):
+def _run_ner(cfg: ExperimentConfig, files: dict):
     p = cfg.params
-    f = _decode(p["frame"], Frame.from_json_dict)
+    f = files["frame"]
     if not f.n <= p["K"] <= f.M:
         raise ConfigInvalid(f"params.K: must be in {f.n}..{f.M} for a frame of "
                             f"n = {f.n}, M = {f.M}, got {p['K']}", field="params.K")
-    start = time.perf_counter()
     if p.get("C") is not None:
         result = certify(f, C=p["C"], K=p["K"], mode=p["mode"],
                          samples=p["samples"], seed=cfg.seed or 0)
@@ -475,53 +472,40 @@ def _run_ner(cfg: ExperimentConfig):
         cert = worst_condition(f, p["K"], mode=p["mode"], samples=p["samples"],
                                seed=cfg.seed or 0)
         doc = {}
-    scan_s = time.perf_counter() - start
     doc["certificate"] = _fields(cert)
     if cert.worst_cond == math.inf:   # refuted: standard JSON has no Infinity
         doc["certificate"]["worst_cond"] = "inf"
-    counters = {"subsets_examined": cert.subsets_examined, **_fields(cert, counters=True),
-                "subsets_per_s": _per_s(cert.subsets_examined, scan_s)}
-    return _json_bytes(doc), doc, counters
+    counts = {"subsets_examined": cert.subsets_examined, **_fields(cert, counters=True)}
+    return _json_bytes(doc), doc, counts
 
 
-def _run_rudelson(cfg: ExperimentConfig):
-    p = cfg.params
-    f = _decode(p["frame"], Frame.from_json_dict)
-    ens = SignEnsemble(count=f.M, exact=False, trials=p["trials"], seed=cfg.seed)
-    start = time.perf_counter()
+def _run_rudelson(cfg: ExperimentConfig, files: dict):
+    f = files["frame"]
+    ens = SignEnsemble(count=f.M, exact=False, trials=cfg.params["trials"], seed=cfg.seed)
     est = rudelson_check(f, ens)
-    counters = {**_trial_counters(est.trials, time.perf_counter() - start),
-                **_fields(est, counters=True)}
     doc = _fields(est)
-    return _json_bytes(doc), doc, counters
+    return _json_bytes(doc), doc, {"trials": est.trials, **_fields(est, counters=True)}
 
 
-def _run_khintchine(cfg: ExperimentConfig):
+def _run_khintchine(cfg: ExperimentConfig, files: dict):
     p = cfg.params
     family = rng.substream(cfg.seed, rng.FAMILY).standard_normal(
         (p["count"], p["dim"], p["dim"])
     )
     ens = SignEnsemble(count=p["count"], exact=p["exact"],
                        trials=p["trials"], seed=cfg.seed)
-    start = time.perf_counter()
     est = khintchine_check(family, p["m"], ens)
-    seconds = time.perf_counter() - start
-    counters = {} if est.exact else _trial_counters(est.trials, seconds)
     doc = _fields(est)
-    return _json_bytes(doc), doc, counters
+    return _json_bytes(doc), doc, {} if est.exact else {"trials": est.trials}
 
 
-def _run_probe(cfg: ExperimentConfig):
+def _run_probe(cfg: ExperimentConfig, files: dict):
     p = cfg.params
     n = p["n"]
-    if p["family"] == "circulant":
-        family = circulant_dictionary(n)
-    else:
-        family = _decode(p["family_file"], _family_from_json)
-    if p.get("lambda_file"):
-        lam = _decode(p["lambda_file"], _lambda_from_json)
-    else:
-        lam = rng.substream(cfg.seed, rng.COEFFS).standard_normal(n)
+    # validate() allows a family file exactly when the family is "file"
+    family = files["family_file"] if "family_file" in files else circulant_dictionary(n)
+    lam = (files["lambda_file"] if "lambda_file" in files
+           else rng.substream(cfg.seed, rng.COEFFS).standard_normal(n))
     for name, value, shape in (("family_file", family, (n, n, n)),
                                ("lambda_file", lam, (n,))):
         if value.shape != shape:   # only a file can differ from n
@@ -532,10 +516,7 @@ def _run_probe(cfg: ExperimentConfig):
     iso = check_scaled_isometry(t)
     round_ = probe_roundtrip(family, lam, x, cond_limit=p["cond_limit"])
     lam_hat = np.atleast_1d(round_.lambda_hat)
-    start = time.perf_counter()
     conc = concentration_estimate(t, p["dist"], p["trials"], cfg.seed)
-    counters = {**_trial_counters(conc.trials, time.perf_counter() - start),
-                **_fields(conc, counters=True)}
     doc = {
         "n": n,
         "family": p["family"],
@@ -548,11 +529,12 @@ def _run_probe(cfg: ExperimentConfig):
         },
         "concentration": _fields(conc),
     }
-    return _json_bytes(doc), {"rel_error": round_.rel_error,
-                              "concentration_ratio": conc.ratio}, counters
+    return (_json_bytes(doc), {"rel_error": round_.rel_error,
+                               "concentration_ratio": conc.ratio},
+            {"trials": conc.trials, **_fields(conc, counters=True)})
 
 
-def _run_stirling(cfg: ExperimentConfig):
+def _run_stirling(cfg: ExperimentConfig, files: dict):
     rows = [_fields(stirling_bound_check(m)) for m in range(1, cfg.params["m_max"] + 1)]
     doc = {"m_max": cfg.params["m_max"],
            "all_hold": all(r["holds"] for r in rows),
@@ -564,7 +546,7 @@ def _run_stirling(cfg: ExperimentConfig):
 # command table
 # --------------------------------------------------------------------------
 
-_FRAME = Param("frame", "str", required=True)
+_FRAME = Param("frame", "str", required=True, load=Frame.from_json_dict)
 _TRIALS = Param("trials", "int", required=True, ge=1)
 _KEEP_PROB = Param("keep_prob", "float", default=0.5, gt=0.0, le=1.0)
 
@@ -606,10 +588,10 @@ _COMMANDS: dict[str, Command] = {
     "probe": Command((
         Param("n", "int", required=True, ge=2),
         Param("family", "str", default="circulant", choices=("circulant", "file")),
-        Param("family_file", "str"),
+        Param("family_file", "str", load=_family_from_json),
         Param("dist", "str", default=RADEMACHER, choices=(RADEMACHER, UNIFORM)),
         _TRIALS,
-        Param("lambda_file", "str"),
+        Param("lambda_file", "str", load=_lambda_from_json),
         Param("cond_limit", "float", default=1e8, ge=1),
     ), "--json", output_required=True, seeded=True, runner=_run_probe),
     "stirling": Command((
@@ -618,30 +600,45 @@ _COMMANDS: dict[str, Command] = {
 }
 
 
+# stdout only: output files carry no timing, so reruns stay byte-identical
+_RATES = {"trials": "trials_per_s", "subsets_examined": "subsets_per_s"}
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Execute one validated command and return its manifest.
 
-    ``counters`` reports the work done: the ``compare=False`` fields of the
-    result record (``subsets_svd`` of a ``ner`` certificate, the ``route``
-    of a ``rudelson`` or ``probe`` estimate), which no output file carries,
-    plus subsets examined and the scan rate for ``ner``, and Monte Carlo
-    trials and the trial rate for ``erasure``, ``sweep``, ``rudelson``,
-    ``khintchine`` (Monte Carlo mode) and ``probe``.  It is empty for the
-    other commands.
-    ``env`` names what the results depend on besides the config: the Python
-    and NumPy versions and the Monte Carlo stream version.
+    ``timings`` holds the seconds of ``load``, ``compute`` (the runner, with
+    the encoding of its output) and ``write`` (the atomic write and digest),
+    and ``duration_seconds`` their sum.  ``counters`` holds the runner's work
+    counts: trials, subsets examined, and a result record's ``compare=False``
+    fields, which no output file carries; ``trials`` and ``subsets_examined``
+    gain their rates over the compute time.  ``env`` names what the results
+    depend on besides the config: the Python and NumPy versions and the Monte
+    Carlo stream version.
     """
-    start = time.monotonic()
-    data, result, counters = _COMMANDS[cfg.command].runner(cfg)
+    spec = _COMMANDS[cfg.command]
+    start = time.perf_counter()
+    # an empty optional path names no file; an empty frame path fails to open
+    files = {p.name: _decode(cfg.params[p.name], p.load) for p in spec.params
+             if p.load is not None and (p.required or cfg.params.get(p.name))}
+    loaded = time.perf_counter()
+    data, result, counters = spec.runner(cfg, files)
+    computed = time.perf_counter()
+    compute = computed - loaded
     try:
         outputs = {cfg.output: _write_atomic(cfg.output, data)} if cfg.output else {}
     except OSError as exc:   # a directory, or a path that cannot be created
         raise ConfigInvalid(f"cannot write output {cfg.output}: {exc}", field="output")
+    timings = {"load": loaded - start, "compute": compute,
+               "write": time.perf_counter() - computed}
+    counters.update({rate: counters[count] / compute if compute > 0 else 0.0
+                     for count, rate in _RATES.items() if count in counters})
     return {
         "command": cfg.command,
         "config": cfg.echo(),
         "version": __version__,
-        "duration_seconds": time.monotonic() - start,
+        "duration_seconds": sum(timings.values()),
+        "timings": timings,
         "outputs": outputs,
         "result": result,
         "counters": counters,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from framelab import (ConcentrationEstimate, ConfigInvalid, DenseMatrix, Frame,
                       InequalityEstimate, NerCertificate, StirlingBound, circulant_dictionary,
                       harmonic_frame, worst_condition)
+from framelab import cli
 from framelab.cli import _fields, main, validate
 from framelab.probing import IsometryReport
 
@@ -115,6 +116,8 @@ def test_ner_counters_on_stdout_only(tmp_path, capsys):
         assert code == 0
         assert manifest["counters"]["subsets_examined"] == 21
         assert manifest["counters"]["subsets_per_s"] > 0
+        # the one rate rule: a count over the compute phase
+        assert manifest["counters"]["subsets_per_s"] == 21 / manifest["timings"]["compute"]
         certs.append((tmp_path / name).read_bytes())
     assert certs[0] == certs[1]
     assert "counters" not in json.loads(certs[0])
@@ -349,9 +352,16 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
     # the circulant family never reads a family file
     (("probe", "--n", 3, "--family-file", "f.json", "--trials", 5, "--seed", 1, "--json"),
      "params.family_file"),
+    # each kind reports the first parameter it needs and lacks
+    (("construct", "--kind", "harmonic", "--n", 4, "--out"), "params.M"),
+    (("construct", "--kind", "harmonic", "--M", 4, "--out"), "params.n"),
+    (("construct", "--kind", "etf", "--N", 7, "--out"), "params.M"),
+    (("construct", "--kind", "etf", "--M", 3, "--out"), "params.N"),
+    (("construct", "--kind", "scaled-onb", "--out"), "params.n"),
 ], ids=["m-31", "m-0", "exact-count-21", "copies-0", "copies-0-harmonic", "harmonic-n-0",
         "onb-n-0", "harmonic-M-below-n", "real-harmonic-M-n", "sweep-M-below-n",
-        "cond-limit-0", "cond-limit-negative", "family-file-circulant"])
+        "cond-limit-0", "cond-limit-negative", "family-file-circulant", "harmonic-no-M",
+        "harmonic-no-n", "etf-no-M", "etf-no-N", "onb-no-n"])
 def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     out = tmp_path / "out.json"
     code, result = run_cli(capsys, *argv, out)
@@ -526,9 +536,56 @@ def test_monte_carlo_trial_counters_on_stdout_only(tmp_path, capsys, argv, trial
         assert code == 0
         assert manifest["counters"]["trials"] == trials
         assert manifest["counters"]["trials_per_s"] > 0
+        assert manifest["counters"]["trials_per_s"] == trials / manifest["timings"]["compute"]
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1]
     assert b"trials_per_s" not in outputs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--kind", "harmonic", "--n", 4, "--M", 12, "--out", "OUT"),
+    ("erasure", "--frame", "FRAME", "--trials", 10, "--seed", 1, "--csv", "OUT"),
+    ("sweep", "--n", 4, "--M-list", "8", "--trials", 10, "--seed", 1, "--csv", "OUT"),
+    ("ner", "--frame", "FRAME", "--K", 8, "--json", "OUT"),
+    ("rudelson", "--frame", "FRAME", "--trials", 10, "--seed", 1),
+    ("khintchine", "--m", 2, "--count", 4, "--dim", 3, "--exact", "--seed", 1),
+    ("probe", "--n", 4, "--family", "file", "--family-file", "FAMILY", "--lambda-file",
+     "LAMBDA", "--trials", 10, "--seed", 1, "--json", "OUT"),
+    ("stirling", "--m-max", 4),
+], ids=lambda argv: argv[0])
+def test_every_manifest_times_load_compute_and_write(tmp_path, capsys, monkeypatch, argv):
+    paths = {name: tmp_path / f"{name}.json" for name in ("FRAME", "FAMILY", "LAMBDA", "OUT")}
+    paths["FRAME"].write_text(json.dumps(harmonic_frame(4, 12).to_json_dict()))
+    # U_j = e_j e_j^T: every +-1 probe gives D = diag(x)
+    paths["FAMILY"].write_text(json.dumps(
+        [DenseMatrix(np.diag(np.eye(4)[j])).to_json_dict() for j in range(4)]))
+    paths["LAMBDA"].write_text(json.dumps([0.5, -0.25, 1.0, 2.0]))
+    decoded = []
+    decode = cli._decode
+    monkeypatch.setattr(cli, "_decode", lambda path, load: decoded.append(path) or
+                        decode(path, load))
+    code, manifest = run_cli(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 0
+    # the load phase decodes each file the command names, once
+    assert sorted(decoded) == sorted(str(paths[a]) for a in argv
+                                     if a in ("FRAME", "FAMILY", "LAMBDA"))
+    timings = manifest["timings"]
+    assert set(timings) == {"load", "compute", "write"}
+    assert all(t >= 0.0 for t in timings.values())
+    assert sum(timings.values()) == pytest.approx(manifest["duration_seconds"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("erasure", "--trials", 10, "--seed", 1, "--csv"),
+    ("ner", "--K", 2, "--json"),
+    ("rudelson", "--trials", 10, "--seed", 1, "--json"),
+], ids=lambda argv: argv[0])
+def test_empty_frame_path_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, doc = run_cli(capsys, argv[0], "--frame", "", *argv[1:], out)
+    assert code == 2
+    assert doc["error"] == "ConfigInvalid"
+    assert not out.exists()
 
 
 def test_exact_khintchine_reports_no_trial_counters(tmp_path, capsys):
