@@ -63,7 +63,6 @@ from .robustness import (
     NerCertificate,
     certify,
     min_cond_bound,
-    submatrix_condition,
     worst_condition,
 )
 from .inequalities import (

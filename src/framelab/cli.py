@@ -164,6 +164,8 @@ def _coerce(param: Param, value, where: str):
         value = _KINDS[param.kind](value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigInvalid(f"{where}: expected {param.kind}, got {value!r}", field=where)
+    if param.load is not None and value == "":
+        raise ConfigInvalid(f"{where}: must name a file, got {value!r}", field=where)
     if param.choices and value not in param.choices:
         raise ConfigInvalid(f"{where}: must be one of {', '.join(param.choices)}, "
                             f"got {value!r}", field=where)
@@ -618,9 +620,8 @@ def run(cfg: ExperimentConfig) -> dict:
     """
     spec = _COMMANDS[cfg.command]
     start = time.perf_counter()
-    # an empty optional path names no file; an empty frame path fails to open
     files = {p.name: _decode(cfg.params[p.name], p.load) for p in spec.params
-             if p.load is not None and (p.required or cfg.params.get(p.name))}
+             if p.load is not None and cfg.params.get(p.name) is not None}
     loaded = time.perf_counter()
     data, result, counters = spec.runner(cfg, files)
     computed = time.perf_counter()

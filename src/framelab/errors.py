@@ -16,15 +16,13 @@ class InvalidExponent(FramelabError):
 class RankDeficient(FramelabError):
     """Smallest singular value is below the rank threshold.
 
-    Raised by a submatrix scan, it carries the offending column subset,
-    ``examined``, the number of subsets scanned up to and including it, and
-    ``certificate``, the refuted certificate (worst condition number inf).
+    Raised by a submatrix scan, it carries ``certificate``, the refuted
+    certificate: worst condition number inf at the offending column subset,
+    counting the subsets scanned up to and including it.
     """
 
-    def __init__(self, message, subset=None, examined=None, certificate=None):
+    def __init__(self, message, certificate=None):
         super().__init__(message)
-        self.subset = subset
-        self.examined = examined
         self.certificate = certificate
 
 

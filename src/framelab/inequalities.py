@@ -56,13 +56,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import rng
 from .errors import (
     InvalidDimension,
-    NonFiniteEntry,
     OutOfRange,
     ShapeMismatch,
     TooLarge,
 )
 from .frames import harmonic_frame
-from .linalg import as_array, operator_norm, operator_norms
+from .linalg import _finite_stack, as_array, operator_norm, operator_norms
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,7 @@ def _schatten_powers(stack: np.ndarray, m: int) -> np.ndarray:
     P = G^ceil(m/2) and Q = G^floor(m/2), and as Q is Hermitian that trace
     is the entrywise sum of conj(P) Q.
     """
-    if not np.all(np.isfinite(stack)):
-        raise NonFiniteEntry("matrix contains NaN or Inf entries")
+    stack = _finite_stack(stack)
     h = stack.conj().swapaxes(1, 2)
     g = stack @ h if stack.shape[1] <= stack.shape[2] else h @ stack
     p = np.linalg.matrix_power(g, (m + 1) // 2)

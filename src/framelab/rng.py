@@ -12,7 +12,9 @@ domain, t, width): results do not depend on block size or trial order, any
 trial can be regenerated alone, and a block of trials is one vectorized
 draw.  One block loop runs an estimator's kernel, which maps B rows to B
 values, on rows from either source: ``mc_values`` feeds it Monte Carlo
-uniforms, ``pattern_values`` the 0/1 rows of all 2^width patterns.
+uniforms, ``pattern_values`` the 0/1 rows of all 2^width patterns.  Its
+block rule, ``trial_ranges``, also cuts the isometry check's family and the
+column subsets of a robustness scan.
 """
 
 import math
@@ -33,12 +35,13 @@ PROBE = 5     # probe vectors x
 FAMILY = 6    # random matrix families
 DISTR = 7     # probe-coefficient distribution draws, one counter block per trial
 
-# A block of Monte Carlo trials holds at most _BLOCK_TRIALS trials and about
-# _BLOCK_BYTES (4 MB) of scratch, so the block, not the trial count, sets an
-# estimator's peak memory.  Larger blocks buy no speed once the per-block
-# Python overhead is amortized, and cost memory beyond the block itself: with
-# 16 MB blocks, freed block scratch left the allocator's heap larger, and a
-# run of file-driven CLI commands (perfbench's pipeline workload, 12 passes)
+# A block of trials (Monte Carlo trials, patterns or subsets) holds at most
+# _BLOCK_TRIALS trials and about _BLOCK_BYTES (4 MB) of scratch, so the block,
+# not the trial count or a trial's size, sets a batched loop's peak memory.
+# Larger blocks buy no speed once the per-block Python overhead is
+# amortized, and cost memory beyond the block itself: with 16 MB blocks,
+# freed block scratch left the allocator's heap larger, and a run of
+# file-driven CLI commands (perfbench's pipeline workload, 12 passes)
 # peaked at 77 MB instead of 72 MB (NumPy 2.4, glibc malloc, x86-64).
 _BLOCK_TRIALS = 256
 _BLOCK_BYTES = 1 << 22
@@ -76,10 +79,12 @@ def rademacher(u: np.ndarray) -> np.ndarray:
 def trial_ranges(trials, row_bytes, min_trials=1):
     """Cut ``range(trials)`` into (start, stop) blocks of consecutive trials.
 
-    ``row_bytes`` is the scratch one trial needs.  A block holds at most
-    ``_BLOCK_TRIALS`` trials and ``_BLOCK_BYTES`` of scratch, but at least
-    ``min_trials`` trials (capped at ``_BLOCK_TRIALS``), for kernels whose
-    per-block cost does not shrink with the block.
+    A trial is whatever a batched loop evaluates one at a time: a Monte Carlo
+    trial, a pattern, a family member, a column subset.  ``row_bytes`` is the
+    scratch one trial needs.  A block holds at most ``_BLOCK_TRIALS`` trials
+    and ``_BLOCK_BYTES`` of scratch, but at least ``min_trials`` trials
+    (capped at ``_BLOCK_TRIALS``), for kernels whose per-block cost does not
+    shrink with the block.
     """
     fit = _BLOCK_BYTES // max(1, int(row_bytes))
     step = max(1, min(_BLOCK_TRIALS, max(min_trials, fit)))

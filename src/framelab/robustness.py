@@ -6,19 +6,20 @@ number at most C.  At desk scale the worst case is found by exhaustive
 enumeration of all C(N, K) subsets; above the enumeration budget a
 sampled mode reports a certified lower bound on the worst case instead.
 
-Both modes share one chunked scan.  Subsets are taken in fixed chunks (in
-lexicographic order, or in draw order from one ``SUBSETS`` substream), and
-each chunk is gathered as a (B, n, K) block.  The scan keeps the per-subset
-contracts:
+Both modes share one blocked scan.  Subsets are taken in the blocks of
+``rng.trial_ranges``, the rule the Monte Carlo and pattern loops use (in
+lexicographic order, or in draw order from one ``SUBSETS`` substream), so
+the block, not n K, sets the scan's peak memory; each block is gathered as a
+(B, n, K) array.  The scan keeps the per-subset contracts:
 
 * every reported value is the one ``linalg.condition_numbers`` (one batched
   SVD, the same LAPACK call per matrix as a lone ``condition_number``)
   gives for that subset alone, so certificates are bit-identical to a
-  per-subset scan and do not depend on the chunk size;
+  per-subset scan and do not depend on the block size;
 * rank is decided on singular values at ``RANK_TOL``, and the scan stops at
   the first rank-deficient subset in scan order, which ``worst_condition``
   raises with its refuted certificate;
-* the lexicographically smallest maximizer wins, across chunks too;
+* the lexicographically smallest maximizer wins, across blocks too;
 * NaN cannot reach the ``RANK_TOL`` comparison: a ``Frame`` is checked for
   finiteness once, when it is built, and the kernel checks each block.
 
@@ -43,13 +44,13 @@ most K n: neither overflow nor underflow can break the bound.
   at 1e-24 lam_max, far below the floor.  Neither is a NaN estimate.
 * The SVD runs on every untrusted subset, and on every trusted subset whose
   estimate is at least (1 - _SCREEN_BAND) times the largest *trusted*
-  estimate of the chunk, with ``_SCREEN_BAND = 1e-4``.  The band leaves four
+  estimate of the block, with ``_SCREEN_BAND = 1e-4``.  The band leaves four
   orders of margin over the estimate's error, so a trusted subset below it
-  is provably neither rank deficient nor the chunk's maximum; it counts as
+  is provably neither rank deficient nor the block's maximum; it counts as
   -inf.  The top is taken over trusted estimates only, since an untrusted
   estimate may be ``inf`` and would push every trusted subset out.
 
-On the difference-set ETFs the SVD sees well under 1% of the subsets (209 of
+On the difference-set ETFs the SVD sees well under 1% of the subsets (332 of
 54,264 for ETF(21,5) at K = 15).  The worst case is a frame whose every
 subset is untrusted: each subset then gets the SVD as before, plus the
 screen, about 40% more time.
@@ -73,6 +74,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetExceeded, OutOfRange, RankDeficient
 from .frames import Frame
+# condition_number stays bound here: perfbench/selftest.py reads it from this module
 from .linalg import condition_number, condition_numbers
 
 EXHAUSTIVE = "exhaustive"
@@ -80,14 +82,9 @@ SAMPLED = "sampled"
 
 EXHAUSTIVE_BUDGET = 10**6
 
-# Subsets per batched SVD.  Larger chunks buy little speed and cost memory:
-# an ETF(21,5) K=15 scan peaks at 30.3 MB with one subset per chunk, 30.9 MB
-# at 512, 31.7 MB at 1024 and 36.6 MB at 4096 (NumPy 2.4, OpenBLAS 0.3.31).
-_SCAN_CHUNK = 512
-
 # The Gram-eigenvalue screen (see the module docstring): an estimate is
 # trusted above this lam_min / lam_max, and the SVD runs on trusted subsets
-# within this relative band of the chunk's top trusted estimate.
+# within this relative band of the block's top trusted estimate.
 _SCREEN_FLOOR = 1e-6
 _SCREEN_BAND = 1e-4
 
@@ -114,22 +111,6 @@ class CertifyResult:
     certificate: NerCertificate
 
 
-def submatrix_condition(f: Frame, subset) -> float:
-    """Condition number of the column submatrix indexed by ``subset``."""
-    idx = tuple(int(j) for j in subset)
-    if len(idx) < 1:
-        raise OutOfRange("subset must be nonempty")
-    if len(set(idx)) != len(idx) or any(not 0 <= j < f.M for j in idx):
-        raise OutOfRange(f"subset indices must be distinct and in [0, {f.M})")
-    try:
-        return condition_number(f.array[:, idx])
-    except RankDeficient as exc:
-        raise RankDeficient(
-            f"rank-deficient submatrix at columns {tuple(sorted(idx))}",
-            subset=tuple(sorted(idx)),
-        ) from exc
-
-
 def _needs_svd(block) -> np.ndarray:
     """Mask of the subsets of a (B, n, K) block that the exact SVD must see.
 
@@ -146,38 +127,38 @@ def _needs_svd(block) -> np.ndarray:
     return need
 
 
-def _scan(f: Frame, subsets) -> tuple[float, tuple[int, ...], int, int]:
-    """``(worst, worst_subset, examined, svd)`` over ``subsets``, sorted tuples.
+def _scan(f: Frame, K: int, subsets, count: int) -> tuple[float, tuple[int, ...], int, int]:
+    """``(worst, worst_subset, examined, svd)`` over ``count`` sorted K-tuples.
 
-    Each chunk of ``_SCAN_CHUNK`` subsets is gathered as one (B, n, K) block,
+    Each block of ``rng.trial_ranges`` is gathered as one (B, n, K) array,
     screened by :func:`_needs_svd`, and the subsets that pass go through one
     batched SVD; the others cannot be the maximum and count as ``-inf``.
-    Among the maximizers the lexicographically smallest wins, across chunks
+    Among the maximizers the lexicographically smallest wins, across blocks
     too; ``examined`` counts the subsets scanned, ``svd`` those sent to the
     SVD.  At the first rank-deficient subset in scan order the scan stops
     with ``inf``, that subset and the counts up to and including it.
     """
     a = f.array
     worst, worst_subset = -math.inf, ()
-    examined = svd = 0
-    subsets = iter(subsets)
-    while chunk := list(islice(subsets, _SCAN_CHUNK)):
-        block = np.moveaxis(a[:, np.array(chunk)], 1, 0)
+    svd = 0
+    # the gathered block, its Gram matrix and eigensolve, and the SVD's copy
+    for start, stop in rng.trial_ranges(count, 3 * a[:, :K].nbytes):
+        batch = list(islice(subsets, stop - start))
+        block = np.moveaxis(a[:, np.array(batch)], 1, 0)
         need = _needs_svd(block)
-        conds = np.full(len(chunk), -math.inf)
+        conds = np.full(len(batch), -math.inf)
         conds[need] = condition_numbers(block[need])
         deficient = np.flatnonzero(conds == math.inf)
         if deficient.size:
             first = int(deficient[0])
-            return (math.inf, chunk[first], examined + first + 1,
+            return (math.inf, batch[first], start + first + 1,
                     svd + int(need[:first + 1].sum()))
-        examined += len(chunk)
         svd += int(need.sum())
         top = float(conds.max())
-        best = min(chunk[i] for i in np.flatnonzero(conds == top))
+        best = min(batch[i] for i in np.flatnonzero(conds == top))
         if top > worst or (top == worst and best < worst_subset):
             worst, worst_subset = top, best
-    return worst, worst_subset, examined, svd
+    return worst, worst_subset, count, svd
 
 
 def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
@@ -204,18 +185,19 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     elif mode == SAMPLED:
         if samples < 1:
             raise OutOfRange("sampled mode needs samples >= 1")
+        count = samples
         stream = rng.substream(seed, rng.SUBSETS)
         subsets = (tuple(sorted(stream.choice(N, size=K, replace=False).tolist()))
                    for _ in range(samples))
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
-    worst, worst_subset, examined, svd = _scan(f, subsets)
+    worst, worst_subset, examined, svd = _scan(f, K, subsets, count)
     cert = NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
                           worst_subset=worst_subset, mode=mode,
                           subsets_examined=examined, subsets_svd=svd)
     if worst == math.inf:
         raise RankDeficient(f"rank-deficient submatrix at columns {worst_subset}",
-                            subset=worst_subset, examined=examined, certificate=cert)
+                            certificate=cert)
     return cert
 
 

@@ -585,6 +585,21 @@ def test_empty_frame_path_exits_2(tmp_path, capsys, argv):
     code, doc = run_cli(capsys, argv[0], "--frame", "", *argv[1:], out)
     assert code == 2
     assert doc["error"] == "ConfigInvalid"
+    assert doc["field"] == "params.frame"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("--lambda-file", ""), "params.lambda_file"),
+    (("--family", "file", "--family-file", ""), "params.family_file"),
+], ids=["lambda", "family"])
+def test_empty_optional_path_exits_2(tmp_path, capsys, argv, field):
+    # an empty path names no file: it is refused, not read as an absent option
+    out = tmp_path / "out"
+    code, doc = run_cli(capsys, "probe", "--n", 4, *argv, "--trials", 10, "--seed", 1,
+                        "--json", out)
+    assert code == 2
+    assert (doc["error"], doc["field"]) == ("ConfigInvalid", field)
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -18,9 +19,9 @@ from framelab import (
     difference_set_etf,
     find_difference_set,
     min_cond_bound,
-    submatrix_condition,
     worst_condition,
 )
+from framelab.linalg import condition_number
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +56,27 @@ def sampled_draws(seed, N, K, samples):
             for _ in range(samples)]
 
 
+def subset_condition(f, subset):
+    """Condition number of the columns ``subset`` of ``f``, one SVD."""
+    return condition_number(f.array[:, list(subset)])
+
+
 def per_subset_scan(f, K, mode="exhaustive", samples=0, seed=0):
-    """Reference for the batched scan: one submatrix_condition call per subset."""
+    """Reference for the batched scan: one condition_number call per subset.
+
+    Returns ``(worst, worst_subset)``, or ``("deficient", subset, examined)``
+    at the first rank-deficient subset in scan order.
+    """
     if mode == "exhaustive":
         subsets = combinations(range(f.M), K)
     else:
         subsets = sampled_draws(seed, f.M, K, samples)
     worst, worst_subset = -math.inf, ()
-    for subset in subsets:
-        c = submatrix_condition(f, subset)
+    for examined, subset in enumerate(subsets, 1):
+        try:
+            c = subset_condition(f, subset)
+        except RankDeficient:
+            return "deficient", subset, examined
         if c > worst or (c == worst and subset < worst_subset):
             worst, worst_subset = c, subset
     return worst, worst_subset
@@ -81,12 +94,12 @@ def exhaustive_oracle(f, K):
 # ---------------------------------------------------------------------------
 
 def test_full_subset_of_tight_unit_frame(etf37):
-    assert submatrix_condition(etf37, range(7)) == pytest.approx(1.0, abs=1e-9)
+    assert subset_condition(etf37, range(7)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_submatrix_vs_gram_oracle(etf37):
     for subset in ((0, 1, 2), (1, 3, 5), (0, 2, 4, 6)):
-        val = submatrix_condition(etf37, subset)
+        val = subset_condition(etf37, subset)
         assert val >= 1.0
         assert val == pytest.approx(gram_condition_oracle(etf37.array, subset), rel=1e-9)
 
@@ -96,17 +109,8 @@ def test_submatrix_rank_deficient_reports_subset():
                 vectors=DenseMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
                 normalization="unit")
     with pytest.raises(RankDeficient) as exc:
-        submatrix_condition(dup, (0, 1))
-    assert exc.value.subset == (0, 1)
-
-
-def test_submatrix_validation(etf37):
-    with pytest.raises(OutOfRange):
-        submatrix_condition(etf37, ())
-    with pytest.raises(OutOfRange):
-        submatrix_condition(etf37, (0, 0))
-    with pytest.raises(OutOfRange):
-        submatrix_condition(etf37, (0, 7))
+        worst_condition(dup, 2)
+    assert exc.value.certificate.worst_subset == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +206,20 @@ def test_worst_invariant_under_unimodular_scaling_and_permutation(etf37):
 def test_worst_subset_is_lex_smallest_maximizer(etf37):
     cert = worst_condition(etf37, 5)
     maximizers = [s for s in combinations(range(7), 5)
-                  if submatrix_condition(etf37, s) == cert.worst_cond]
+                  if subset_condition(etf37, s) == cert.worst_cond]
     assert maximizers
     assert cert.worst_subset == min(maximizers)
     assert cert.worst_subset == tuple(sorted(cert.worst_subset))
 
 
 # ---------------------------------------------------------------------------
-# the chunked batched scan
+# the blocked batched scan
 # ---------------------------------------------------------------------------
+
+# blocks of one subset, of a few, and of the default size; the scan's rows
+# are small enough here that rng._BLOCK_TRIALS alone sets the block
+BLOCK_SIZES = (1, 7, rng._BLOCK_TRIALS)
+
 
 def repeated_column_frame():
     """Three directions in the plane, four identical copies of each.
@@ -240,10 +249,10 @@ def etf413_reference(etf413):
             "sampled": per_subset_scan(etf413, 8, "sampled", samples=400, seed=3)}
 
 
-@pytest.mark.parametrize("chunk", [1, 7, robustness._SCAN_CHUNK])
-def test_batched_scan_equals_per_subset_scan(monkeypatch, etf413, etf413_reference, chunk):
-    # bit-identical, not approximately equal, at every chunk size
-    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_batched_scan_equals_per_subset_scan(monkeypatch, etf413, etf413_reference, size):
+    # bit-identical, not approximately equal, at every block size
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
     exhaustive = worst_condition(etf413, 8)
     sampled = worst_condition(etf413, 8, mode="sampled", samples=400, seed=3)
     assert (exhaustive.worst_cond, exhaustive.worst_subset) == etf413_reference["exhaustive"]
@@ -259,37 +268,37 @@ def test_sampled_certificate_unchanged_by_batching(etf413):
     assert cert.worst_subset == (1, 2, 4, 5, 6, 8, 9, 10)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, robustness._SCAN_CHUNK])
-def test_exhaustive_repeated_columns_lex_smallest_maximizer(monkeypatch, chunk):
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_exhaustive_repeated_columns_lex_smallest_maximizer(monkeypatch, size):
     f = repeated_column_frame()
-    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
     cert = worst_condition(f, 5)
     maximizers = [s for s in combinations(range(12), 5)
-                  if submatrix_condition(f, s) == cert.worst_cond]
+                  if subset_condition(f, s) == cert.worst_cond]
     assert maximizers == [(j, 4, 5, 6, 7) for j in range(4)]
     assert cert.worst_subset == (0, 4, 5, 6, 7)
 
 
-@pytest.mark.parametrize("chunk", [7, 64])
-def test_sampled_repeated_columns_tie_across_chunks(monkeypatch, chunk):
+@pytest.mark.parametrize("size", [7, 64])
+def test_sampled_repeated_columns_tie_across_chunks(monkeypatch, size):
     f = repeated_column_frame()
     worst, _ = per_subset_scan(f, 5)
     draws = sampled_draws(38, 12, 5, 200)
-    hits = [i for i, s in enumerate(draws) if submatrix_condition(f, s) == worst]
-    # the tie spans chunks, and a later chunk holds the smaller subset
-    assert hits[0] // chunk < hits[-1] // chunk
+    hits = [i for i, s in enumerate(draws) if subset_condition(f, s) == worst]
+    # the tie spans blocks, and a later block holds the smaller subset
+    assert hits[0] // size < hits[-1] // size
     assert draws[hits[0]] > draws[hits[-1]] == (0, 4, 5, 6, 7)
-    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
     cert = worst_condition(f, 5, mode="sampled", samples=200, seed=38)
     assert cert.worst_cond == worst
     assert cert.worst_subset == (0, 4, 5, 6, 7)
 
 
-@pytest.mark.parametrize("chunk", [7, robustness._SCAN_CHUNK])
-def test_certify_reports_first_rank_deficient_subset_past_first_chunk(monkeypatch, chunk):
+@pytest.mark.parametrize("size", BLOCK_SIZES[1:])
+def test_certify_reports_first_rank_deficient_subset_past_first_chunk(monkeypatch, size):
     f = duplicate_pair_frame()
-    assert list(combinations(range(40), 2)).index((25, 26)) >= chunk
-    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    assert list(combinations(range(40), 2)).index((25, 26)) >= size
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
     result = certify(f, C=1e6, K=2)
     assert not result.passed
     assert math.isinf(result.certificate.worst_cond)
@@ -297,16 +306,16 @@ def test_certify_reports_first_rank_deficient_subset_past_first_chunk(monkeypatc
     # sampled mode reports the first rank-deficient subset in draw order
     draws = sampled_draws(2, 40, 2, 2000)
     first = next(i for i, s in enumerate(draws) if s in ((25, 26), (32, 33)))
-    assert first >= chunk
+    assert first >= size
     result = certify(f, C=1e6, K=2, mode="sampled", samples=2000, seed=2)
     assert not result.passed
     assert result.certificate.worst_subset == draws[first]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, robustness._SCAN_CHUNK])
-def test_refuted_certificate_counts_subsets_up_to_the_deficient_one(monkeypatch, chunk):
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_refuted_certificate_counts_subsets_up_to_the_deficient_one(monkeypatch, size):
     f = duplicate_pair_frame()
-    monkeypatch.setattr(robustness, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
     result = certify(f, C=1e6, K=2)
     lexicographic = list(combinations(range(40), 2)).index((25, 26)) + 1
     assert result.certificate.subsets_examined == lexicographic == 676
@@ -316,7 +325,21 @@ def test_refuted_certificate_counts_subsets_up_to_the_deficient_one(monkeypatch,
     assert result.certificate.subsets_examined == first + 1
     with pytest.raises(RankDeficient) as info:
         worst_condition(f, 2, mode="sampled", samples=2000, seed=2)
-    assert info.value.examined == first + 1
+    assert info.value.certificate.subsets_examined == first + 1
+
+
+def test_scan_memory_is_bounded_by_the_block_rule():
+    # one subset of ETF(183,14) at K = 181 gathers 40 KB: blocks of 512
+    # subsets peaked at 42.6 MB, the block rule keeps about 4 MB of scratch
+    f = difference_set_etf(find_difference_set(183, 14))
+    tracemalloc.start()
+    try:
+        cert = worst_condition(f, 181, mode="sampled", samples=600, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.worst_cond == 1.0518772939413612
+    assert peak <= 2 * rng._BLOCK_BYTES, peak
 
 
 def no_second_svd(*args):
@@ -331,13 +354,11 @@ def test_rank_deficient_scan_raises_its_certificate_once(monkeypatch, mode, samp
     else:
         order = sampled_draws(2, 40, 2, samples)
     first = next(i for i, s in enumerate(order) if s in ((25, 26), (32, 33)))
-    monkeypatch.setattr(robustness, "submatrix_condition", no_second_svd)
+    monkeypatch.setattr(robustness, "condition_number", no_second_svd)
     with pytest.raises(RankDeficient, match=re.escape(f"columns {order[first]}")) as info:
         worst_condition(f, 2, mode=mode, samples=samples, seed=2)
-    exc = info.value
-    assert (exc.subset, exc.examined) == (order[first], first + 1)
     cert = certify(f, C=1e6, K=2, mode=mode, samples=samples, seed=2).certificate
-    assert exc.certificate == cert
+    assert info.value.certificate == cert
     assert (cert.worst_cond, cert.worst_subset, cert.subsets_examined, cert.mode) == (
         math.inf, order[first], first + 1, mode)
 
@@ -346,29 +367,14 @@ def test_rank_deficient_scan_raises_its_certificate_once(monkeypatch, mode, samp
 # the Gram-eigenvalue screen in front of the SVD
 # ---------------------------------------------------------------------------
 
-CHUNKS = (1, 7, robustness._SCAN_CHUNK)
-
-
 def scan_outcome(f, K, mode, samples, seed):
     """The batched scan's certificate, or its first rank-deficient subset."""
     try:
         cert = worst_condition(f, K, mode=mode, samples=samples, seed=seed)
     except RankDeficient as exc:
-        return "deficient", exc.subset, exc.examined
+        return "deficient", exc.certificate.worst_subset, exc.certificate.subsets_examined
     assert 1 <= cert.subsets_svd <= cert.subsets_examined
     return cert.worst_cond, cert.worst_subset
-
-
-def reference_outcome(f, K, mode, samples, seed):
-    """:func:`per_subset_scan` in the form of :func:`scan_outcome`."""
-    try:
-        return per_subset_scan(f, K, mode, samples, seed)
-    except RankDeficient as exc:
-        if mode == "exhaustive":
-            order = list(combinations(range(f.M), K))
-        else:
-            order = sampled_draws(seed, f.M, K, samples)
-        return "deficient", exc.subset, order.index(exc.subset) + 1
 
 
 @st.composite
@@ -396,15 +402,15 @@ def small_frames(draw):
 @settings(max_examples=60, deadline=None)
 @given(f=small_frames(), data=st.data())
 def test_screened_scan_equals_per_subset_scan(f, data):
-    # bit-identical to one SVD per subset, in both modes and at every chunk size
+    # bit-identical to one SVD per subset, in both modes and at every block size
     K = data.draw(st.integers(f.n, f.M))
     seed = data.draw(st.integers(0, 1000))
     for mode, samples in (("exhaustive", 0), ("sampled", 40)):
-        expected = reference_outcome(f, K, mode, samples, seed)
-        for chunk in CHUNKS:
+        expected = per_subset_scan(f, K, mode, samples, seed)
+        for size in BLOCK_SIZES:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(robustness, "_SCAN_CHUNK", chunk)
-                assert scan_outcome(f, K, mode, samples, seed) == expected, (mode, chunk)
+                mp.setattr(rng, "_BLOCK_TRIALS", size)
+                assert scan_outcome(f, K, mode, samples, seed) == expected, (mode, size)
 
 
 def unit_vectors_at(angles, phases=None):
@@ -424,15 +430,15 @@ def test_screen_tops_trusted_estimates_only():
     # they straddle 1/sqrt(_SCREEN_FLOOR) = 1000, so (0, 1) is trusted and is
     # the top trusted estimate, while (0, 2) is not trusted
     f = unit_vectors_at(np.array([0.0, 2 * math.atan(1 / 999), -2 * math.atan(1 / 1001)]))
-    conds = {s: submatrix_condition(f, s) for s in combinations(range(3), 2)}
+    conds = {s: subset_condition(f, s) for s in combinations(range(3), 2)}
     assert conds[(1, 2)] < conds[(0, 1)] < 1 / math.sqrt(robustness._SCREEN_FLOOR)
     assert 1 / math.sqrt(robustness._SCREEN_FLOOR) < conds[(0, 2)]
     block = np.moveaxis(f.array[:, np.array([(0, 1), (0, 2), (1, 2)])], 1, 0)
     # the untrusted estimate is larger, yet the trusted top still goes to the SVD
     assert robustness._needs_svd(block).tolist() == [True, True, False]
-    for chunk in CHUNKS:
+    for size in BLOCK_SIZES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(robustness, "_SCAN_CHUNK", chunk)
+            mp.setattr(rng, "_BLOCK_TRIALS", size)
             cert = worst_condition(f, 2)
         assert (cert.worst_cond, cert.worst_subset) == per_subset_scan(f, 2)
         assert cert.worst_subset == (0, 2)
@@ -442,7 +448,7 @@ def test_screen_tops_trusted_estimates_only():
     cert = worst_condition(g, 2)
     assert (cert.worst_cond, cert.worst_subset) == per_subset_scan(g, 2)
     assert cert.worst_subset == (0, 1)
-    assert cert.worst_cond == submatrix_condition(g, (0, 1))
+    assert cert.worst_cond == subset_condition(g, (0, 1))
 
 
 @pytest.mark.parametrize("complex_phases", [False, True])
@@ -455,9 +461,9 @@ def test_screen_sends_an_ill_conditioned_worst_subset_to_the_svd(complex_phases)
     expected = per_subset_scan(f, 2)
     assert expected[1] == (1, 2)
     assert 1e9 < expected[0] < 1e11
-    for chunk in CHUNKS:
+    for size in BLOCK_SIZES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(robustness, "_SCAN_CHUNK", chunk)
+            mp.setattr(rng, "_BLOCK_TRIALS", size)
             cert = worst_condition(f, 2)
         assert (cert.worst_cond, cert.worst_subset) == expected
     assert certify(f, C=1e11, K=2).passed
