@@ -11,19 +11,12 @@ from .errors import (
     ConfigInvalid,
     FramelabError,
     IllConditioned,
-    InvalidDimension,
-    InvalidExponent,
-    InvalidProbability,
-    InvalidRowSet,
-    LengthMismatch,
     NonFiniteEntry,
     NoSuchSet,
     OutOfRange,
     RankDeficient,
     ShapeMismatch,
     Singular,
-    TooLarge,
-    UnsupportedDistribution,
 )
 from .linalg import (
     DenseMatrix,

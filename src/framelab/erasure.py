@@ -40,13 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import (
-    InvalidDimension,
-    InvalidProbability,
-    LengthMismatch,
-    OutOfRange,
-    TooLarge,
-)
+from .errors import BudgetExceeded, OutOfRange, ShapeMismatch
 from .frames import RECON, Frame, harmonic_frame
 
 
@@ -62,7 +56,7 @@ class ErasureMask:
         k.flags.writeable = False
         object.__setattr__(self, "kept", k)
         if not 0.0 < self.keep_prob <= 1.0:
-            raise InvalidProbability(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+            raise OutOfRange(f"keep_prob must be in (0, 1], got {self.keep_prob}")
 
     @property
     def M(self) -> int:
@@ -89,7 +83,7 @@ def analysis_coefficients(f: Frame, x) -> np.ndarray:
     """Transmitted inner products <z_j, x>, conjugate-linear in the frame vector."""
     x = np.asarray(x)
     if x.shape != (f.n,):
-        raise LengthMismatch(f"input has shape {x.shape}, expected ({f.n},)")
+        raise ShapeMismatch(f"input has shape {x.shape}, expected ({f.n},)")
     return f.array.conj().T @ x
 
 
@@ -99,9 +93,9 @@ def reconstruct(f: Frame, coeffs, mask: ErasureMask) -> np.ndarray:
         raise OutOfRange("reconstruction requires a recon-normalized frame")
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (f.M,):
-        raise LengthMismatch(f"coeffs length {coeffs.shape} != M = {f.M}")
+        raise ShapeMismatch(f"coeffs length {coeffs.shape} != M = {f.M}")
     if mask.M != f.M:
-        raise LengthMismatch(f"mask length {mask.M} != M = {f.M}")
+        raise ShapeMismatch(f"mask length {mask.M} != M = {f.M}")
     weight = _weight(mask.keep_prob, f.M)
     kept = mask.kept
     return weight * (f.array[:, kept] @ coeffs[kept])
@@ -115,7 +109,7 @@ def _weight(keep_prob: float, M: int) -> float:
     """
     weight = 1.0 / (keep_prob * M)
     if not math.isfinite(weight):
-        raise InvalidProbability(
+        raise OutOfRange(
             f"keep_prob {keep_prob} makes the weight 1/(keep_prob * M) overflow at M = {M}"
         )
     return weight
@@ -159,7 +153,7 @@ def exact_error_expectation(f: Frame, x) -> float:
     coefficient lo + j where bit j of h is set; its error is ||low[i] - high[h]||.
     """
     if f.M > rng.ENUM_LIMIT:
-        raise TooLarge(f"exact enumeration limited to M <= {rng.ENUM_LIMIT}, got {f.M}")
+        raise BudgetExceeded(f"exact enumeration limited to M <= {rng.ENUM_LIMIT}, got {f.M}")
     b = _contributions(f, x, 0.5)
     cols = _real_view(np.ascontiguousarray(b.T))        # (M, n or 2n)
     lo = f.M // 2
@@ -177,11 +171,11 @@ def per_trial_errors(f: Frame, x, trials: int, seed: int,
                      keep_prob: float = 0.5) -> np.ndarray:
     """Reconstruction error of each trial; trial t reads row t of the MASK stream."""
     if f.n < 2:
-        raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {f.n}")
+        raise OutOfRange(f"need n >= 2 so that ln(n) > 0, got n = {f.n}")
     if trials < 1:
         raise OutOfRange(f"trials must be >= 1, got {trials}")
     if not 0.0 < keep_prob <= 1.0:
-        raise InvalidProbability(f"keep_prob must be in (0, 1], got {keep_prob}")
+        raise OutOfRange(f"keep_prob must be in (0, 1], got {keep_prob}")
     kernel = _error_kernel(f, x, keep_prob)
     # scratch per trial: the mask as bool and as float64, y and x - y
     return rng.mc_values(seed, rng.MASK, trials, f.M, 9 * f.M + 32 * f.n,

@@ -1,4 +1,11 @@
-"""Exception taxonomy shared by all framelab modules."""
+"""Exception taxonomy shared by all framelab modules.
+
+One class names one condition, whichever module refuses: a parameter out
+of its domain is ``OutOfRange``, operands of the wrong shape are
+``ShapeMismatch``, an enumeration or search over its cap is
+``BudgetExceeded``.  A new refusal reuses the class of its condition
+rather than adding one.
+"""
 
 
 class FramelabError(Exception):
@@ -7,10 +14,6 @@ class FramelabError(Exception):
 
 class NonFiniteEntry(FramelabError):
     """A matrix or vector contains NaN or Inf."""
-
-
-class InvalidExponent(FramelabError):
-    """Schatten exponent p < 1."""
 
 
 class RankDeficient(FramelabError):
@@ -30,32 +33,12 @@ class ShapeMismatch(FramelabError):
     """Operands have incompatible shapes."""
 
 
-class InvalidRowSet(FramelabError):
-    """Harmonic frame row selection is repeated or out of range."""
-
-
 class NoSuchSet(FramelabError):
     """No difference set exists for the requested parameters."""
 
 
-class InvalidProbability(FramelabError):
-    """Probability outside its admissible interval."""
-
-
-class LengthMismatch(FramelabError):
-    """Coefficient or mask length does not match the frame size."""
-
-
-class TooLarge(FramelabError):
-    """Instance exceeds the exact-enumeration budget."""
-
-
-class InvalidDimension(FramelabError):
-    """Ambient dimension too small for the requested statistic."""
-
-
 class OutOfRange(FramelabError):
-    """Scalar parameter outside its documented domain."""
+    """A parameter outside its documented domain."""
 
 
 class BudgetExceeded(FramelabError):
@@ -72,10 +55,6 @@ class IllConditioned(FramelabError):
 
 class Singular(FramelabError):
     """Linear solve refused: matrix is numerically singular."""
-
-
-class UnsupportedDistribution(FramelabError):
-    """Probe coefficient distribution is not one of the supported kinds."""
 
 
 class ConfigInvalid(FramelabError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidRowSet, NoSuchSet, OutOfRange, ShapeMismatch, BudgetExceeded
+from .errors import BudgetExceeded, NoSuchSet, OutOfRange, ShapeMismatch
 from .linalg import DenseMatrix, _json_int, frame_operator, gram_matrix, operator_norm
 
 RECON = "recon"
@@ -174,13 +174,11 @@ def harmonic_frame(n: int, M: int, row_set=None, real: bool = False) -> Frame:
     k = np.arange(M)
     if real:
         if row_set is not None:
-            raise InvalidRowSet("row_set is not supported in real mode")
+            raise OutOfRange("row_set is not supported in real mode")
         pairs = n // 2
         # every pair frequency s = 1..pairs needs 0 < 2s < M
         if 2 * pairs >= M:
-            raise InvalidRowSet(
-                f"real harmonic frame needs M > {2 * pairs} for n = {n}"
-            )
+            raise OutOfRange(f"real harmonic frame needs M > {2 * pairs} for n = {n}")
         rows = []
         if n % 2 == 1:
             rows.append(np.ones(M))
@@ -195,9 +193,7 @@ def harmonic_frame(n: int, M: int, row_set=None, real: bool = False) -> Frame:
         row_set = tuple(range(n))
     rows = tuple(int(s) for s in row_set)
     if len(rows) != n or len(set(rows)) != n or any(not 0 <= s < M for s in rows):
-        raise InvalidRowSet(
-            f"row_set must be {n} distinct integers in [0, {M}), got {rows}"
-        )
+        raise OutOfRange(f"row_set must be {n} distinct integers in [0, {M}), got {rows}")
     s = np.asarray(rows)[:, None]
     cols = np.exp(2j * np.pi * (s * k[None, :]) / M)
     return Frame(n=n, M=M, vectors=DenseMatrix(cols),

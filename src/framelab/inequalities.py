@@ -54,12 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .errors import (
-    InvalidDimension,
-    OutOfRange,
-    ShapeMismatch,
-    TooLarge,
-)
+from .errors import BudgetExceeded, OutOfRange, ShapeMismatch
 from .frames import harmonic_frame
 from .linalg import _finite_stack, as_array, operator_norm, operator_norms
 
@@ -78,7 +73,7 @@ class SignEnsemble:
             raise OutOfRange("count must be >= 1")
         if self.exact:
             if self.count > rng.ENUM_LIMIT:
-                raise TooLarge(
+                raise BudgetExceeded(
                     f"exact enumeration limited to count <= {rng.ENUM_LIMIT}, got {self.count}"
                 )
         elif self.trials < 1:
@@ -226,7 +221,7 @@ def rudelson_check(vectors, ensemble: SignEnsemble) -> InequalityEstimate:
     v = as_array(vectors)
     n, M = v.shape
     if n < 2:
-        raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {n}")
+        raise OutOfRange(f"need n >= 2 so that ln(n) > 0, got n = {n}")
     if ensemble.count != M:
         raise ShapeMismatch(f"ensemble.count = {ensemble.count} != M = {M}")
     vh = v.conj().T

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidExponent, NonFiniteEntry, RankDeficient, ShapeMismatch
+from .errors import NonFiniteEntry, OutOfRange, RankDeficient, ShapeMismatch
 
 REAL = "real"
 COMPLEX = "complex"
@@ -179,8 +179,8 @@ def schatten_norm(m, p: float) -> float:
     Evaluated relative to the largest singular value for stability at
     large p.
     """
-    if p < 1:
-        raise InvalidExponent(f"Schatten exponent must satisfy p >= 1, got {p}")
+    if not p >= 1:
+        raise OutOfRange(f"Schatten exponent must satisfy p >= 1, got {p}")
     s = singular_values(m)
     top = float(s[0])
     if top == 0.0:

@@ -33,16 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import (
-    IllConditioned,
-    InvalidDimension,
-    OutOfRange,
-    RankDeficient,
-    ShapeMismatch,
-    Singular,
-    TooLarge,
-    UnsupportedDistribution,
-)
+from .errors import (BudgetExceeded, IllConditioned, OutOfRange, RankDeficient,
+                     ShapeMismatch, Singular)
 from .linalg import as_array, condition_number, operator_norms
 from .inequalities import exact_sign_expectation
 
@@ -115,6 +107,8 @@ def recover_coefficients(D, y, cond_limit: float = 1e8):
     Refuses outright when D is numerically singular, and flags probes whose
     dictionary conditioning would destroy the solution's accuracy.
     """
+    if not cond_limit >= 1:
+        raise OutOfRange(f"cond_limit must be >= 1, got {cond_limit}")
     d = as_array(D)
     if d.shape[0] != d.shape[1]:
         raise ShapeMismatch(f"dictionary must be square, got {d.shape}")
@@ -172,7 +166,7 @@ def concentration_estimate(T, distribution: str, trials: int,
     divides by sqrt(ln n).
     """
     if distribution not in (RADEMACHER, UNIFORM):
-        raise UnsupportedDistribution(
+        raise OutOfRange(
             f"distribution must be one of {sorted((RADEMACHER, UNIFORM))}, "
             f"got {distribution!r}"
         )
@@ -181,7 +175,7 @@ def concentration_estimate(T, distribution: str, trials: int,
     stack = _family_stack(T)
     n = stack.shape[0]
     if n < 2:
-        raise InvalidDimension(f"need n >= 2 so that ln(n) > 0, got n = {n}")
+        raise OutOfRange(f"need n >= 2 so that ln(n) > 0, got n = {n}")
     flat = stack.reshape(n, -1)
     i = np.arange(n)
     shift, first = (i[:, None] - i) % n, stack[:, :, 0]
@@ -223,11 +217,11 @@ def contraction_check(summands, x, b: float) -> ContractionReport:
     arrays = [np.asarray(f) for f in summands]
     count = len(arrays)
     if count > _CONTRACTION_LIMIT:
-        raise TooLarge(f"contraction check limited to count <= {_CONTRACTION_LIMIT}")
+        raise BudgetExceeded(f"contraction check limited to count <= {_CONTRACTION_LIMIT}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (count,):
         raise ShapeMismatch(f"coefficients have shape {x.shape}, expected ({count},)")
-    if b <= 0 or np.any(np.abs(x) > b * (1 + 1e-15)):
+    if not b > 0 or np.any(np.abs(x) > b * (1 + 1e-15)):
         raise OutOfRange("need |x_k| <= b with b > 0")
     norm = (lambda s: np.linalg.norm(s, axis=-1)) if arrays[0].ndim == 1 else operator_norms
     lhs = exact_sign_expectation([xk * f for xk, f in zip(x, arrays)], norm)
@@ -244,7 +238,7 @@ def circulant_dictionary(n: int) -> np.ndarray:
     identifiable.
     """
     if n < 2:
-        raise InvalidDimension(f"need n >= 2, got {n}")
+        raise OutOfRange(f"need n >= 2, got {n}")
     # U_j, j = i + 1, holds 1/sqrt(n) at row (k + j) mod n of each column k
     i = np.arange(n)
     family = np.zeros((n, n, n))

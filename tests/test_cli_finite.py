@@ -84,8 +84,25 @@ def test_subnormal_keep_prob_exits_3_without_output(tmp_path, capsys):
     code, doc = run_cli(capsys, "erasure", "--frame", frame, "--trials", 10, "--seed", 0,
                         "--keep-prob", "5e-324", "--csv", out)
     assert code == 3
-    assert doc["error"] == "InvalidProbability"
+    assert doc["error"] == "OutOfRange"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("erasure", "--trials", 10, "--seed", 0, "--csv", "out.csv"),
+    ("rudelson", "--trials", 10, "--seed", 0, "--json", "out.json"),
+])
+def test_one_dimensional_frame_exits_3_without_output(tmp_path, capsys, argv):
+    # both statistics divide by sqrt(ln n), which is 0 at n = 1
+    frame = tmp_path / "h.json"
+    frame.write_text(json.dumps(harmonic_frame(1, 4).to_json_dict()))
+    command, *rest = argv
+    rest = [tmp_path / a if a in ("out.csv", "out.json") else a for a in rest]
+    code, doc = run_cli(capsys, command, "--frame", frame, *rest)
+    assert code == 3
+    assert doc["error"] == "OutOfRange"
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_nonfinite_result_exits_3_without_output(tmp_path, capsys):

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import (
+    BudgetExceeded,
     ErasureMask,
-    InvalidDimension,
-    InvalidProbability,
-    LengthMismatch,
     OutOfRange,
-    TooLarge,
+    ShapeMismatch,
     deterministic_unit_vector,
     exact_error_expectation,
     harmonic_frame,
@@ -38,7 +36,7 @@ def all_masks(M, keep_prob=0.5):
 
 def test_mask_rejects_bad_prob():
     for p in (0.0, -0.1, 1.5):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(OutOfRange):
             ErasureMask(kept=np.ones(10, dtype=bool), keep_prob=p)
 
 
@@ -79,9 +77,9 @@ def test_reconstruct_nothing_kept():
 def test_reconstruct_validation():
     f = scaled_onb_frame(2, 1)
     mask = ErasureMask(kept=np.ones(2, dtype=bool), keep_prob=1.0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         reconstruct(f, np.zeros(3), mask)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         reconstruct(f, np.zeros(2), ErasureMask(kept=np.ones(3, dtype=bool), keep_prob=1.0))
     unit = renormalize(f, "unit")
     with pytest.raises(OutOfRange):
@@ -102,7 +100,7 @@ def test_exact_zero_input():
 
 
 def test_exact_budget():
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         exact_error_expectation(harmonic_frame(2, 21), [1.0, 0.0])
 
 
@@ -178,20 +176,20 @@ def test_mc_rejects_subnormal_keep_prob_before_any_trial(monkeypatch):
     x = deterministic_unit_vector(4, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # a RuntimeWarning would fail the test
-        with pytest.raises(InvalidProbability, match="overflow"):
+        with pytest.raises(OutOfRange, match="overflow"):
             mc_error_estimate(harmonic_frame(4, 8), x, 10, 0, keep_prob=5e-324)
 
 
 def test_reconstruct_rejects_subnormal_keep_prob():
     f = harmonic_frame(4, 8)
     mask = ErasureMask(kept=np.ones(8, dtype=bool), keep_prob=5e-324)
-    with pytest.raises(InvalidProbability, match="overflow"):
+    with pytest.raises(OutOfRange, match="overflow"):
         reconstruct(f, analysis_coefficients(f, np.ones(4)), mask)
 
 
 def test_mc_rejects_small_dimension():
     f = scaled_onb_frame(1, 4)
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(OutOfRange):
         mc_error_estimate(f, np.array([1.0]), trials=10, seed=0)
 
 

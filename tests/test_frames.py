@@ -13,7 +13,6 @@ from framelab import (
     DenseMatrix,
     DifferenceSet,
     Frame,
-    InvalidRowSet,
     NonFiniteEntry,
     NoSuchSet,
     OutOfRange,
@@ -153,9 +152,9 @@ def test_harmonic_column_norms_exact():
 
 
 def test_harmonic_row_set_validation():
-    with pytest.raises(InvalidRowSet):
+    with pytest.raises(OutOfRange):
         harmonic_frame(2, 4, row_set=(0, 0))
-    with pytest.raises(InvalidRowSet):
+    with pytest.raises(OutOfRange):
         harmonic_frame(2, 4, row_set=(0, 4))
     with pytest.raises(OutOfRange):
         harmonic_frame(4, 3)
@@ -171,9 +170,9 @@ def test_harmonic_real_variant():
 
 
 def test_harmonic_real_needs_room():
-    with pytest.raises(InvalidRowSet):
+    with pytest.raises(OutOfRange):
         harmonic_frame(4, 4, real=True)
-    with pytest.raises(InvalidRowSet):
+    with pytest.raises(OutOfRange):
         harmonic_frame(2, 4, real=True, row_set=(0, 1))
 
 

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import (
+    BudgetExceeded,
     Frame,
-    InvalidDimension,
     NonFiniteEntry,
     OutOfRange,
     ShapeMismatch,
     SignEnsemble,
-    TooLarge,
     difference_set_etf,
     exact_sign_expectation,
     find_difference_set,
@@ -75,7 +74,7 @@ def test_two_equal_rank_one_summands():
 
 def test_enumeration_budget():
     mats = [np.eye(2)] * 21
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         exact_sign_expectation(mats, operator_norms)
 
 
@@ -243,7 +242,7 @@ def test_rudelson_mc_matches_exact():
 
 
 def test_rudelson_needs_dimension_two():
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(OutOfRange):
         rudelson_check(np.ones((1, 3)), SignEnsemble(count=3, exact=True))
 
 
@@ -358,7 +357,7 @@ def test_stirling_domain():
 
 
 def test_sign_ensemble_validation():
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         SignEnsemble(count=21, exact=True)
     with pytest.raises(OutOfRange):
         SignEnsemble(count=4, exact=False, trials=0)

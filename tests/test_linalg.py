@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from framelab import (
     DenseMatrix,
-    InvalidExponent,
     NonFiniteEntry,
+    OutOfRange,
     RankDeficient,
     ShapeMismatch,
     condition_number,
@@ -147,8 +147,9 @@ def test_schatten_direct_evaluation():
 
 
 def test_schatten_rejects_p_below_one():
-    with pytest.raises(InvalidExponent):
-        schatten_norm(np.eye(2), 0.5)
+    for p in (0.5, float("nan")):   # NaN is not >= 1 either
+        with pytest.raises(OutOfRange):
+            schatten_norm(np.eye(2), p)
 
 
 def test_schatten_zero_matrix():

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from framelab import (
+    BudgetExceeded,
     IllConditioned,
-    InvalidDimension,
     OutOfRange,
     ShapeMismatch,
     Singular,
     SignEnsemble,
-    TooLarge,
-    UnsupportedDistribution,
     build_dictionary,
     check_scaled_isometry,
     circulant_dictionary,
@@ -164,6 +162,12 @@ def test_recover_ill_conditioned():
     assert exc.value.cond == pytest.approx(1e9, rel=1e-6)
 
 
+@pytest.mark.parametrize("cond_limit", [float("nan"), 0.5])
+def test_recover_rejects_cond_limit_below_one(cond_limit):
+    with pytest.raises(OutOfRange, match="cond_limit"):
+        recover_coefficients(np.diag([1.0, 1e-9]), np.ones(2), cond_limit=cond_limit)
+
+
 def test_roundtrip_hand_instance():
     u = circulant_dictionary(3)
     lam = np.array([0.5, -0.25, 1.0])
@@ -259,7 +263,7 @@ def test_concentration_ratio_bounded_over_sizes():
 
 def test_concentration_validation():
     t = regroup(circulant_dictionary(4))
-    with pytest.raises(UnsupportedDistribution):
+    with pytest.raises(OutOfRange):
         concentration_estimate(t, "gaussian", 10, 0)
     with pytest.raises(OutOfRange):
         concentration_estimate(t, "rademacher", 0, 0)
@@ -366,10 +370,12 @@ def test_contraction_random_sweep():
 
 def test_contraction_validation():
     vecs = [np.ones(2)] * 17
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         contraction_check(vecs, np.zeros(17), 1.0)
     with pytest.raises(OutOfRange):
         contraction_check([np.ones(2)], np.array([2.0]), 1.0)
+    with pytest.raises(OutOfRange):
+        contraction_check([np.ones(2)], np.array([0.5]), float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +406,7 @@ def test_circulant_linearly_independent():
 
 
 def test_circulant_too_small():
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(OutOfRange):
         circulant_dictionary(1)
 
 
