@@ -433,9 +433,16 @@ def _run_construct(cfg: ExperimentConfig, files: dict):
                                           "normalization": f.normalization}, {}
 
 
+def _frame_n2(files: dict) -> Frame:   # both statistics divide by sqrt(ln n)
+    if files["frame"].n < 2:
+        raise ConfigInvalid("params.frame: need n >= 2 so that ln(n) > 0, got n = 1",
+                            field="params.frame")
+    return files["frame"]
+
+
 def _run_erasure(cfg: ExperimentConfig, files: dict):
     p = cfg.params
-    f = files["frame"]
+    f = _frame_n2(files)
     renormalized = f.normalization != RECON
     if renormalized:
         f = renormalize(f, RECON)
@@ -482,7 +489,7 @@ def _run_ner(cfg: ExperimentConfig, files: dict):
 
 
 def _run_rudelson(cfg: ExperimentConfig, files: dict):
-    f = files["frame"]
+    f = _frame_n2(files)
     ens = SignEnsemble(count=f.M, exact=False, trials=cfg.params["trials"], seed=cfg.seed)
     est = rudelson_check(f, ens)
     doc = _fields(est)

@@ -200,6 +200,19 @@ def harmonic_frame(n: int, M: int, row_set=None, real: bool = False) -> Frame:
                  normalization=RECON, kind="harmonic")
 
 
+def harmonic_rows(array: np.ndarray) -> tuple[int, ...] | None:
+    """The row set r with array == harmonic_frame(n, M, r).array * array[0, 0].real
+    bit for bit, read from the angles of column 1 (column 0 if M = 1); else None."""
+    n, M = array.shape
+    if not np.iscomplexobj(array) or not np.isfinite(array).all():
+        return None
+    rows = tuple((np.rint(np.angle(array[:, 1 % M]) * (M / (2 * np.pi))).astype(int) % M).tolist())
+    if len(set(rows)) == n and np.array_equal(
+            array, harmonic_frame(n, M, rows).array * array[0, 0].real):
+        return rows
+    return None
+
+
 def _singer_set(p: int, e: int) -> list[int]:
     """Singer's (q^2+q+1, q+1, 1) difference set for q = p^e.
 

@@ -29,9 +29,10 @@ of its own row u of the ``SIGNS`` stream.  The related factorial bound
 
 A block's sums are reduced together: the rank-one sums S(eps) =
 sum_i eps_i z_i z_i* are Hermitian, so ``linalg.operator_norms`` takes their
-top eigenvalue magnitude.  A harmonic frame takes its own kernel, chosen by an
-exact test: v == harmonic_frame(n, M).array * s bit for bit, s = v[0, 0].real
-(both normalizations, and frames read back from files).  Then S(eps)[a, b] =
+top eigenvalue magnitude.  A harmonic frame takes its own kernel, chosen by
+the exact test ``frames.harmonic_rows`` with rows 0..n-1: v ==
+harmonic_frame(n, M).array * s bit for bit, s = v[0, 0].real (both
+normalizations, and frames read back from files).  Then S(eps)[a, b] =
 c[(a - b) mod M] with c = s^2 M ifft(eps) is Hermitian Toeplitz, so
 J S J = conj(S) for the exchange matrix J, and with the unitary
 Q = (I + iJ)/sqrt(2) the similar Q^H S Q is the real symmetric matrix
@@ -55,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .errors import BudgetExceeded, OutOfRange, ShapeMismatch
-from .frames import harmonic_frame
+from .frames import harmonic_rows
 from .linalg import _finite_stack, as_array, operator_norm, operator_norms
 
 
@@ -198,10 +199,9 @@ def khintchine_check(matrices, m: int, ensemble: SignEnsemble) -> InequalityEsti
 def _harmonic_kernel(v: np.ndarray):
     """The harmonic kernel when v == harmonic_frame(n, M).array * v[0, 0].real, else None."""
     n, M = v.shape
-    s = v[0, 0].real
-    if not np.iscomplexobj(v) or M < n or not np.array_equal(
-            v, harmonic_frame(n, M).array * s):
+    if harmonic_rows(v) != tuple(range(n)):
         return None
+    s = v[0, 0].real
     k = (np.arange(2 * n - 1) - n + 1) % M
 
     def kernel(signs):

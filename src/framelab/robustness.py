@@ -50,10 +50,14 @@ most K n: neither overflow nor underflow can break the bound.
   -inf.  The top is taken over trusted estimates only, since an untrusted
   estimate may be ``inf`` and would push every trusted subset out.
 
-On the difference-set ETFs the SVD sees well under 1% of the subsets (332 of
-54,264 for ETF(21,5) at K = 15).  The worst case is a frame whose every
-subset is untrusted: each subset then gets the SVD as before, plus the
-screen, about 40% more time.
+The worst case is a frame whose every subset is untrusted: each subset then
+gets the SVD as before, plus the screen, about 40% more time.
+
+An exhaustive scan of a harmonic frame, such as a difference-set ETF, screens
+one subset per rotation orbit (Vale and Waldron, 2005): column k + t of
+``harmonic_frame(n, N, r)`` is D^t times column k, D = diag(omega**r_j)
+unitary.  For ETF(21,5) at K = 15 the generic scan screens 54,264 subsets
+and sends 332 to the SVD, the orbit scan 2,586 and 126.
 
 ``min_cond_bound`` inverts the admissibility inequality
 
@@ -73,7 +77,7 @@ import numpy as np
 
 from . import rng
 from .errors import BudgetExceeded, OutOfRange, RankDeficient
-from .frames import Frame
+from .frames import Frame, harmonic_rows
 # condition_number stays bound here: perfbench/selftest.py reads it from this module
 from .linalg import condition_number, condition_numbers
 
@@ -100,8 +104,9 @@ class NerCertificate:
     worst_subset: tuple[int, ...]
     mode: str
     subsets_examined: int
-    # work counter, not part of the certificate: subsets sent to the SVD
+    # work counters, not part of the certificate: subsets sent to the SVD, scan route
     subsets_svd: int = field(default=0, compare=False)
+    route: str = field(default="generic", compare=False)
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,12 @@ class CertifyResult:
     certificate: NerCertificate
 
 
-def _needs_svd(block) -> np.ndarray:
+def _needs_svd(block, floor: float = -math.inf) -> np.ndarray:
     """Mask of the subsets of a (B, n, K) block that the exact SVD must see.
 
     The screen of the module docstring: untrusted Gram estimates, and
-    trusted ones within ``_SCREEN_BAND`` of the top trusted estimate.
+    trusted ones within ``_SCREEN_BAND`` of the top trusted estimate, or of
+    ``floor``, a condition number already found, when that is larger.
     """
     lam = np.linalg.eigvalsh(block @ block.conj().swapaxes(1, 2))
     lo, hi = lam[:, 0], lam[:, -1]
@@ -123,7 +129,7 @@ def _needs_svd(block) -> np.ndarray:
     need = ~trusted
     if trusted.any():
         est = np.sqrt(hi[trusted] / lo[trusted])
-        need[trusted] = est >= (1.0 - _SCREEN_BAND) * est.max()
+        need[trusted] = est >= (1.0 - _SCREEN_BAND) * max(est.max(), floor)
     return need
 
 
@@ -161,6 +167,54 @@ def _scan(f: Frame, K: int, subsets, count: int) -> tuple[float, tuple[int, ...]
     return worst, worst_subset, count, svd
 
 
+def _orbit_scan(f: Frame, K: int, count: int):
+    """:func:`_scan` of all ``count`` = C(N, K) subsets of a harmonic frame.
+
+    Subsets are N-bit masks.  The least of a mask's N rotations stands for
+    its orbit.  It holds column 0, since a mask without it is even and halves
+    when rotated one place down, so only the C(N - 1, K - 1) subsets holding
+    column 0 are enumerated.  Every distinct rotation of a representative the
+    screen keeps (with ``worst`` so far as its floor) goes to the SVD, and
+    the tie rule runs over those rotations; a refutation counts its subset's
+    lexicographic rank + 1.
+    """
+    a, N = f.array, f.M
+    t, full, row = np.arange(N, dtype=np.uint64), np.uint64(2**N - 1), 3 * a[:, :K].nbytes
+    worst, worst_subset, svd = -math.inf, (), 0
+
+    def rot(m, s):   # masks m rotated by s places
+        return (m << s | m >> (N - s) % N) & full
+
+    def columns(m):  # (B, K): the subsets of masks m
+        return np.nonzero(m[:, None] >> t & 1)[1].reshape(-1, K)
+
+    with0 = math.comb(N - 1, K - 1)
+    masks = map(sum, combinations([1 << i for i in range(1, N)], K - 1))
+    # a trial is N subsets, about one orbit.  Each takes its mask and N
+    # rotations, and should it stand for its orbit, its columns and its share
+    # of the screen: under 40 (N + K) + row bytes, so that a block fits even
+    # if all its subsets stand for orbits
+    for start, stop in rng.trial_ranges(-(-with0 // N), N * (40 * (N + K) + row)):
+        start, stop = start * N, min(stop * N, with0)
+        m = np.fromiter(islice(masks, stop - start), np.uint64, stop - start) | 1
+        least = m[rot(m[:, None], t).min(axis=1) == m]
+        reps = columns(least)
+        for lo, hi in rng.trial_ranges(len(reps), row):
+            kept = least[lo:hi][_needs_svd(np.moveaxis(a[:, reps[lo:hi]], 1, 0), worst)]
+            r = np.sort(rot(kept[:, None], t), axis=None)
+            members = columns(r[np.diff(r, prepend=~r[:1]) != 0])   # distinct
+            for i, j in rng.trial_ranges(len(members), row):
+                conds = condition_numbers(np.moveaxis(a[:, members[i:j]], 1, 0))
+                svd += j - i
+                top = float(conds.max())
+                best = min(tuple(members[i + k].tolist()) for k in np.flatnonzero(conds == top))
+                if top > worst or (top == worst and best < worst_subset):
+                    worst, worst_subset = top, best
+    if worst == math.inf:
+        count -= sum(math.comb(N - 1 - c, K - i) for i, c in enumerate(worst_subset))
+    return worst, worst_subset, count, svd
+
+
 def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
                     samples: int = 0, seed: int = 0) -> NerCertificate:
     """Worst condition number over size-K column subsets.
@@ -171,8 +225,11 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     bound on the true worst case, drawn one after another from a single
     ``SUBSETS`` substream.  A rank-deficient subset raises
     :class:`RankDeficient` with the refuted certificate (``worst_cond`` inf).
+    An exhaustive scan of a harmonic frame with N <= 64, so that a subset's
+    mask fits a ``uint64``, takes :func:`_orbit_scan`.
     """
     N = f.M
+    orbits = False
     if not f.n <= K <= N:
         raise OutOfRange(f"need n <= K <= N, got K={K}, n={f.n}, N={N}")
     if mode == EXHAUSTIVE:
@@ -182,6 +239,7 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
                 f"C({N},{K}) = {count} subsets exceeds budget {EXHAUSTIVE_BUDGET}"
             )
         subsets = combinations(range(N), K)
+        orbits = N <= 64 and harmonic_rows(f.array) is not None
     elif mode == SAMPLED:
         if samples < 1:
             raise OutOfRange("sampled mode needs samples >= 1")
@@ -191,10 +249,11 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
                    for _ in range(samples))
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
-    worst, worst_subset, examined, svd = _scan(f, K, subsets, count)
+    worst, worst_subset, examined, svd = (_orbit_scan(f, K, count) if orbits
+                                          else _scan(f, K, subsets, count))
     cert = NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
-                          worst_subset=worst_subset, mode=mode,
-                          subsets_examined=examined, subsets_svd=svd)
+                          worst_subset=worst_subset, mode=mode, subsets_examined=examined,
+                          subsets_svd=svd, route="orbits" if orbits else "generic")
     if worst == math.inf:
         raise RankDeficient(f"rank-deficient submatrix at columns {worst_subset}",
                             certificate=cert)
@@ -220,8 +279,11 @@ def certify(f: Frame, C: float, K: int, mode: str = EXHAUSTIVE,
     Exhaustive certificates are definitive; sampled ones only mean "not
     refuted".  A rank-deficient submatrix fails with the refuted certificate
     that :func:`worst_condition` raises: worst condition number inf at that
-    subset, counting the subsets scanned up to and including it.
+    subset, counting the subsets scanned up to and including it.  ``C`` below
+    1, or NaN, is refused before any scan: no condition number is below 1.
     """
+    if not C >= 1:
+        raise OutOfRange(f"C must be >= 1, got {C}")
     try:
         cert = worst_condition(f, K, mode=mode, samples=samples, seed=seed)
     except RankDeficient as exc:

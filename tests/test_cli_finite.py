@@ -92,15 +92,17 @@ def test_subnormal_keep_prob_exits_3_without_output(tmp_path, capsys):
     ("erasure", "--trials", 10, "--seed", 0, "--csv", "out.csv"),
     ("rudelson", "--trials", 10, "--seed", 0, "--json", "out.json"),
 ])
-def test_one_dimensional_frame_exits_3_without_output(tmp_path, capsys, argv):
-    # both statistics divide by sqrt(ln n), which is 0 at n = 1
+def test_one_dimensional_frame_exits_2_without_output(tmp_path, capsys, argv):
+    # both statistics divide by sqrt(ln n), which is 0 at n = 1: the input
+    # alone decides, so it is a configuration error naming the frame
     frame = tmp_path / "h.json"
     frame.write_text(json.dumps(harmonic_frame(1, 4).to_json_dict()))
     command, *rest = argv
     rest = [tmp_path / a if a in ("out.csv", "out.json") else a for a in rest]
     code, doc = run_cli(capsys, command, "--frame", frame, *rest)
-    assert code == 3
-    assert doc["error"] == "OutOfRange"
+    assert code == 2
+    assert doc["error"] == "ConfigInvalid"
+    assert doc["field"] == "params.frame"
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "out.json").exists()
 

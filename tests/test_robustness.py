@@ -512,9 +512,19 @@ def test_certify_pass_at_certified_bound(etf37):
     assert result.certificate.K == 5
 
 
-def test_certify_impossible_c(etf37):
-    result = certify(etf37, C=1.0 - 1e-6, K=5)
-    assert not result.passed
+def refuse_scan(*args):
+    raise AssertionError("an impossible C is refused before any scan")
+
+
+def test_certify_impossible_c(monkeypatch, etf37):
+    # no condition number is below 1, so C < 1 (or NaN) decides nothing
+    monkeypatch.setattr(robustness, "_scan", refuse_scan)
+    monkeypatch.setattr(robustness, "_orbit_scan", refuse_scan)
+    for C in (1.0 - 1e-6, 0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(OutOfRange, match="C must be >= 1"):
+            certify(etf37, C=C, K=5)
+    monkeypatch.undo()
+    assert certify(etf37, C=1.0, K=7).required_cond == 1.0   # C = 1 is admitted
 
 
 def test_certify_rank_deficient_fails():
