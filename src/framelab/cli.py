@@ -581,7 +581,7 @@ _COMMANDS: dict[str, Command] = {
         _FRAME,
         Param("K", "int", required=True, ge=1),
         Param("mode", "str", default=EXHAUSTIVE, choices=(EXHAUSTIVE, SAMPLED)),
-        Param("samples", "int", default=0),
+        Param("samples", "int", default=0, ge=0),
         Param("C", "float", ge=1),
     ), "--json", output_required=True, seeded=False, runner=_run_ner),
     "rudelson": Command((_FRAME, _TRIALS),
@@ -591,7 +591,7 @@ _COMMANDS: dict[str, Command] = {
         Param("m", "int", required=True, ge=1, le=30),
         Param("count", "int", required=True, ge=1),
         Param("dim", "int", required=True, ge=1),
-        Param("trials", "int", default=0),
+        Param("trials", "int", default=0, ge=0),
         Param("exact", "bool", default=False),
     ), "--json", output_required=False, seeded=True, runner=_run_khintchine),
     "probe": Command((

@@ -6,11 +6,10 @@ number at most C.  At desk scale the worst case is found by exhaustive
 enumeration of all C(N, K) subsets; above the enumeration budget a
 sampled mode reports a certified lower bound on the worst case instead.
 
-Both modes share one blocked scan.  Subsets are taken in the blocks of
-``rng.trial_ranges``, the rule the Monte Carlo and pattern loops use (in
-lexicographic order, or in draw order from one ``SUBSETS`` substream), so
-the block, not n K, sets the scan's peak memory; each block is gathered as a
-(B, n, K) array.  The scan keeps the per-subset contracts:
+Every route runs one blocked scan.  Subsets come in the blocks of
+``rng.trial_ranges``, the rule the Monte Carlo and pattern loops use, so the
+block, not n K, sets the scan's peak memory; each is gathered as a (B, n, K)
+array.  The scan keeps the per-subset contracts:
 
 * every reported value is the one ``linalg.condition_numbers`` (one batched
   SVD, the same LAPACK call per matrix as a lone ``condition_number``)
@@ -43,21 +42,27 @@ most K n: neither overflow nor underflow can break the bound.
   subset is never trusted: sigma_min <= RANK_TOL * sigma_max puts lam_min
   at 1e-24 lam_max, far below the floor.  Neither is a NaN estimate.
 * The SVD runs on every untrusted subset, and on every trusted subset whose
-  estimate is at least (1 - _SCREEN_BAND) times the largest *trusted*
-  estimate of the block, with ``_SCREEN_BAND = 1e-4``.  The band leaves four
-  orders of margin over the estimate's error, so a trusted subset below it
-  is provably neither rank deficient nor the block's maximum; it counts as
-  -inf.  The top is taken over trusted estimates only, since an untrusted
-  estimate may be ``inf`` and would push every trusted subset out.
+  estimate is at least (1 - _SCREEN_BAND) times the largest trusted
+  estimate of the block or the worst value found so far, whichever is
+  larger, with ``_SCREEN_BAND = 1e-4``.  The band leaves four orders of
+  margin over the estimate's error, so a trusted subset below it is
+  provably neither rank deficient nor the maximum.  The top is taken over
+  trusted estimates only, since an untrusted estimate may be ``inf`` and
+  would push every trusted subset out.
 
 The worst case is a frame whose every subset is untrusted: each subset then
 gets the SVD as before, plus the screen, about 40% more time.
 
-An exhaustive scan of a harmonic frame, such as a difference-set ETF, screens
-one subset per rotation orbit (Vale and Waldron, 2005): column k + t of
+The routes differ only in the blocks they feed the scan: ``combinations``
+in lexicographic order, draws from one ``SUBSETS`` substream, or, for an
+exhaustive scan of a harmonic frame such as a difference-set ETF, rotation
+orbit representatives (Vale and Waldron, 2005).  Column k + t of
 ``harmonic_frame(n, N, r)`` is D^t times column k, D = diag(omega**r_j)
-unitary.  For ETF(21,5) at K = 15 the generic scan screens 54,264 subsets
-and sends 332 to the SVD, the orbit scan 2,586 and 126.
+unitary, so the screen sees one subset per orbit and the SVD every rotation
+of those it keeps.  A refutation met there is found again by the
+lexicographic scan, and ``subsets_svd`` counts both passes.  For ETF(21,5)
+at K = 15 the lexicographic scan screens 54,264 subsets and sends 66 to the
+SVD, the orbit scan 2,586 and 126.
 
 ``min_cond_bound`` inverts the admissibility inequality
 
@@ -88,7 +93,7 @@ EXHAUSTIVE_BUDGET = 10**6
 
 # The Gram-eigenvalue screen (see the module docstring): an estimate is
 # trusted above this lam_min / lam_max, and the SVD runs on trusted subsets
-# within this relative band of the block's top trusted estimate.
+# within this relative band of the block's top trusted estimate or the floor.
 _SCREEN_FLOOR = 1e-6
 _SCREEN_BAND = 1e-4
 
@@ -133,54 +138,48 @@ def _needs_svd(block, floor: float = -math.inf) -> np.ndarray:
     return need
 
 
-def _scan(f: Frame, K: int, subsets, count: int) -> tuple[float, tuple[int, ...], int, int]:
-    """``(worst, worst_subset, examined, svd)`` over ``count`` sorted K-tuples.
+def _scan(a, row: int, blocks, expand=None) -> tuple[float, tuple[int, ...], int | None, int]:
+    """``(worst, worst_subset, examined, svd)`` over ``blocks``, (B, K) sorted subsets.
 
-    Each block of ``rng.trial_ranges`` is gathered as one (B, n, K) array,
-    screened by :func:`_needs_svd`, and the subsets that pass go through one
-    batched SVD; the others cannot be the maximum and count as ``-inf``.
-    Among the maximizers the lexicographically smallest wins, across blocks
-    too; ``examined`` counts the subsets scanned, ``svd`` those sent to the
-    SVD.  At the first rank-deficient subset in scan order the scan stops
-    with ``inf``, that subset and the counts up to and including it.
+    Each block of columns of ``a`` is gathered, screened by :func:`_needs_svd`
+    against the worst value so far, and its kept subsets, or those ``expand``
+    maps them to, go through the SVD in ``rng.trial_ranges`` blocks of ``row``
+    bytes a subset; ``svd`` counts them.  The lexicographically smallest
+    maximizer wins.  The scan stops at the first rank-deficient subset with
+    ``inf``, counting up to and including it (``examined`` None after
+    ``expand``: that subset has no place in scan order).
     """
-    a = f.array
-    worst, worst_subset = -math.inf, ()
-    svd = 0
-    # the gathered block, its Gram matrix and eigensolve, and the SVD's copy
-    for start, stop in rng.trial_ranges(count, 3 * a[:, :K].nbytes):
-        batch = list(islice(subsets, stop - start))
-        block = np.moveaxis(a[:, np.array(batch)], 1, 0)
-        need = _needs_svd(block)
-        conds = np.full(len(batch), -math.inf)
-        conds[need] = condition_numbers(block[need])
-        deficient = np.flatnonzero(conds == math.inf)
-        if deficient.size:
-            first = int(deficient[0])
-            return (math.inf, batch[first], start + first + 1,
-                    svd + int(need[:first + 1].sum()))
-        svd += int(need.sum())
-        top = float(conds.max())
-        best = min(batch[i] for i in np.flatnonzero(conds == top))
-        if top > worst or (top == worst and best < worst_subset):
-            worst, worst_subset = top, best
-    return worst, worst_subset, count, svd
+    worst, worst_subset, examined, svd = -math.inf, (), 0, 0
+    for batch in blocks:
+        # named through the SVD: freed sooner, glibc trims and refaults the heap
+        block = np.moveaxis(a[:, batch], 1, 0)
+        kept = np.flatnonzero(_needs_svd(block, worst))
+        members = batch[kept] if expand is None or not kept.size else expand(batch[kept])
+        for i, j in rng.trial_ranges(len(members), row):
+            conds = condition_numbers(np.moveaxis(a[:, members[i:j]], 1, 0))
+            deficient = np.flatnonzero(conds == math.inf)
+            if deficient.size:
+                k = i + int(deficient[0])
+                stop = examined + int(kept[k]) + 1 if expand is None else None
+                return math.inf, tuple(members[k].tolist()), stop, svd + k - i + 1
+            svd += j - i
+            top = float(conds.max())
+            best = min(tuple(members[i + x].tolist()) for x in np.flatnonzero(conds == top))
+            if top > worst or (top == worst and best < worst_subset):
+                worst, worst_subset = top, best
+        examined += len(batch)
+    return worst, worst_subset, examined, svd
 
 
-def _orbit_scan(f: Frame, K: int, count: int):
-    """:func:`_scan` of all ``count`` = C(N, K) subsets of a harmonic frame.
+def _orbits(N: int, K: int, row: int):
+    """Blocks of rotation-orbit representatives of a harmonic frame, and ``expand``.
 
     Subsets are N-bit masks.  The least of a mask's N rotations stands for
     its orbit.  It holds column 0, since a mask without it is even and halves
     when rotated one place down, so only the C(N - 1, K - 1) subsets holding
-    column 0 are enumerated.  Every distinct rotation of a representative the
-    screen keeps (with ``worst`` so far as its floor) goes to the SVD, and
-    the tie rule runs over those rotations; a refutation counts its subset's
-    lexicographic rank + 1.
+    column 0 are enumerated.  ``expand`` maps them to their distinct rotations.
     """
-    a, N = f.array, f.M
-    t, full, row = np.arange(N, dtype=np.uint64), np.uint64(2**N - 1), 3 * a[:, :K].nbytes
-    worst, worst_subset, svd = -math.inf, (), 0
+    t, full = np.arange(N, dtype=np.uint64), np.uint64(2**N - 1)
 
     def rot(m, s):   # masks m rotated by s places
         return (m << s | m >> (N - s) % N) & full
@@ -188,31 +187,25 @@ def _orbit_scan(f: Frame, K: int, count: int):
     def columns(m):  # (B, K): the subsets of masks m
         return np.nonzero(m[:, None] >> t & 1)[1].reshape(-1, K)
 
-    with0 = math.comb(N - 1, K - 1)
-    masks = map(sum, combinations([1 << i for i in range(1, N)], K - 1))
-    # a trial is N subsets, about one orbit.  Each takes its mask and N
-    # rotations, and should it stand for its orbit, its columns and its share
-    # of the screen: under 40 (N + K) + row bytes, so that a block fits even
-    # if all its subsets stand for orbits
-    for start, stop in rng.trial_ranges(-(-with0 // N), N * (40 * (N + K) + row)):
-        start, stop = start * N, min(stop * N, with0)
-        m = np.fromiter(islice(masks, stop - start), np.uint64, stop - start) | 1
-        least = m[rot(m[:, None], t).min(axis=1) == m]
-        reps = columns(least)
-        for lo, hi in rng.trial_ranges(len(reps), row):
-            kept = least[lo:hi][_needs_svd(np.moveaxis(a[:, reps[lo:hi]], 1, 0), worst)]
-            r = np.sort(rot(kept[:, None], t), axis=None)
-            members = columns(r[np.diff(r, prepend=~r[:1]) != 0])   # distinct
-            for i, j in rng.trial_ranges(len(members), row):
-                conds = condition_numbers(np.moveaxis(a[:, members[i:j]], 1, 0))
-                svd += j - i
-                top = float(conds.max())
-                best = min(tuple(members[i + k].tolist()) for k in np.flatnonzero(conds == top))
-                if top > worst or (top == worst and best < worst_subset):
-                    worst, worst_subset = top, best
-    if worst == math.inf:
-        count -= sum(math.comb(N - 1 - c, K - i) for i, c in enumerate(worst_subset))
-    return worst, worst_subset, count, svd
+    def blocks():
+        with0 = math.comb(N - 1, K - 1)
+        masks = map(sum, combinations([1 << i for i in range(1, N)], K - 1))
+        # a trial is N subsets, about one orbit; a subset's mask, N rotations,
+        # columns and screen take under 40 (N + K) + row bytes, so that a
+        # block fits even if all its subsets stand for orbits
+        for start, stop in rng.trial_ranges(-(-with0 // N), N * (40 * (N + K) + row)):
+            start, stop = start * N, min(stop * N, with0)
+            m = np.fromiter(islice(masks, stop - start), np.uint64, stop - start) | 1
+            reps = columns(m[rot(m[:, None], t).min(axis=1) == m])
+            for lo, hi in rng.trial_ranges(len(reps), row):
+                yield reps[lo:hi]
+
+    def expand(reps):
+        m = (np.uint64(1) << reps.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+        r = np.sort(rot(m[:, None], t), axis=None)
+        return columns(r[np.diff(r, prepend=~r[:1]) != 0])
+
+    return blocks(), expand
 
 
 def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
@@ -226,20 +219,17 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     ``SUBSETS`` substream.  A rank-deficient subset raises
     :class:`RankDeficient` with the refuted certificate (``worst_cond`` inf).
     An exhaustive scan of a harmonic frame with N <= 64, so that a subset's
-    mask fits a ``uint64``, takes :func:`_orbit_scan`.
+    mask fits a ``uint64``, screens rotation-orbit representatives first.
     """
     N = f.M
-    orbits = False
     if not f.n <= K <= N:
         raise OutOfRange(f"need n <= K <= N, got K={K}, n={f.n}, N={N}")
     if mode == EXHAUSTIVE:
         count = math.comb(N, K)
         if count > EXHAUSTIVE_BUDGET:
-            raise BudgetExceeded(
-                f"C({N},{K}) = {count} subsets exceeds budget {EXHAUSTIVE_BUDGET}"
-            )
+            raise BudgetExceeded(f"C({N},{K}) = {count} subsets exceeds budget "
+                                 f"{EXHAUSTIVE_BUDGET}")
         subsets = combinations(range(N), K)
-        orbits = N <= 64 and harmonic_rows(f.array) is not None
     elif mode == SAMPLED:
         if samples < 1:
             raise OutOfRange("sampled mode needs samples >= 1")
@@ -249,8 +239,17 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
                    for _ in range(samples))
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
-    worst, worst_subset, examined, svd = (_orbit_scan(f, K, count) if orbits
-                                          else _scan(f, K, subsets, count))
+    a, row = f.array, 3 * f.array[:, :K].nbytes   # gathered, Gram eigensolve, SVD copy
+    orbits = mode == EXHAUSTIVE and N <= 64 and harmonic_rows(a) is not None
+    worst, svd = math.inf, 0
+    if orbits:
+        worst, worst_subset, _, svd = _scan(a, row, *_orbits(N, K, row))
+        examined = count
+    if worst == math.inf:   # the generic route, or a refutation found again in order
+        worst, worst_subset, examined, generic = _scan(a, row, (
+            np.array(list(islice(subsets, stop - start)))
+            for start, stop in rng.trial_ranges(count, row)))
+        svd += generic
     cert = NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
                           worst_subset=worst_subset, mode=mode, subsets_examined=examined,
                           subsets_svd=svd, route="orbits" if orbits else "generic")

@@ -73,6 +73,21 @@ def test_refusal_is_the_lexicographically_first_deficient_subset(monkeypatch):
         worst_condition(f, 2)
 
 
+@pytest.mark.parametrize("K, met, first", [
+    (3, (0, 2, 4), (0, 1, 6)),
+    (4, (0, 2, 4, 6), (0, 1, 6, 7)),
+])
+def test_a_refutation_is_found_again_in_lexicographic_order(monkeypatch, K, met, first):
+    # the orbit representatives meet a deficient subset after the first one
+    f = harmonic_frame(3, 12, row_set=(0, 2, 6))
+    row = 3 * f.array[:, :K].nbytes
+    assert robustness._scan(f.array, row, *robustness._orbits(12, K, row))[1] == met
+    got, route = outcome(f, K)
+    assert route == "orbits"
+    assert got[:2] == (math.inf, first)
+    assert got == generic_outcome(monkeypatch, f, K)
+
+
 def small_harmonic_frames():
     """Every row set of n <= 3 rows of Z_M, M <= 8, in both normalizations.
 

@@ -451,6 +451,17 @@ def test_screen_tops_trusted_estimates_only():
     assert cert.worst_cond == subset_condition(g, (0, 1))
 
 
+def test_screen_is_floored_at_the_worst_value_found_in_earlier_blocks(monkeypatch):
+    # conditions about 200 for (0, 1), 1.8 for (0, 2) and 1.9 for (1, 2): with
+    # one subset a block, (0, 1) comes first and the later blocks fall below it
+    f = unit_vectors_at(np.array([0.0, 0.01, 1.0]))
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", 1)
+    cert = worst_condition(f, 2)
+    assert (cert.worst_cond, cert.worst_subset) == per_subset_scan(f, 2)
+    assert cert.worst_subset == (0, 1)
+    assert cert.subsets_svd == 1
+
+
 @pytest.mark.parametrize("complex_phases", [False, True])
 def test_screen_sends_an_ill_conditioned_worst_subset_to_the_svd(complex_phases):
     # columns 1 and 2 are 2e-10 apart: condition about 1e10, far past what the
@@ -519,7 +530,6 @@ def refuse_scan(*args):
 def test_certify_impossible_c(monkeypatch, etf37):
     # no condition number is below 1, so C < 1 (or NaN) decides nothing
     monkeypatch.setattr(robustness, "_scan", refuse_scan)
-    monkeypatch.setattr(robustness, "_orbit_scan", refuse_scan)
     for C in (1.0 - 1e-6, 0.5, 0.0, -1.0, math.nan):
         with pytest.raises(OutOfRange, match="C must be >= 1"):
             certify(etf37, C=C, K=5)
