@@ -63,7 +63,7 @@ from .frames import (
 )
 from .erasure import (ErasureTrialReport, deterministic_unit_vector, mc_error_estimate,
                       redundancy_sweep)
-from .robustness import EXHAUSTIVE, SAMPLED, certify, worst_condition
+from .robustness import EXHAUSTIVE, EXHAUSTIVE_BUDGET, SAMPLED, certify, worst_condition
 from .inequalities import (
     SignEnsemble,
     khintchine_check,
@@ -581,7 +581,7 @@ _COMMANDS: dict[str, Command] = {
         _FRAME,
         Param("K", "int", required=True, ge=1),
         Param("mode", "str", default=EXHAUSTIVE, choices=(EXHAUSTIVE, SAMPLED)),
-        Param("samples", "int", default=0, ge=0),
+        Param("samples", "int", default=0, ge=0, le=EXHAUSTIVE_BUDGET),
         Param("C", "float", ge=1),
     ), "--json", output_required=True, seeded=False, runner=_run_ner),
     "rudelson": Command((_FRAME, _TRIALS),

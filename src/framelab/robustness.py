@@ -54,15 +54,15 @@ The worst case is a frame whose every subset is untrusted: each subset then
 gets the SVD as before, plus the screen, about 40% more time.
 
 The routes differ only in the blocks they feed the scan: ``combinations``
-in lexicographic order, draws from one ``SUBSETS`` substream, or, for an
-exhaustive scan of a harmonic frame such as a difference-set ETF, rotation
-orbit representatives (Vale and Waldron, 2005).  Column k + t of
-``harmonic_frame(n, N, r)`` is D^t times column k, D = diag(omega**r_j)
-unitary, so the screen sees one subset per orbit and the SVD every rotation
-of those it keeps.  A refutation met there is found again by the
-lexicographic scan, and ``subsets_svd`` counts both passes.  For ETF(21,5)
-at K = 15 the lexicographic scan screens 54,264 subsets and sends 66 to the
-SVD, the orbit scan 2,586 and 126.
+in lexicographic order, draws that ``rng.subset_blocks`` replays from one
+``SUBSETS`` substream, or, for an exhaustive scan of a harmonic frame such
+as a difference-set ETF, rotation orbit representatives (Vale and Waldron,
+2005).  Column k + t of ``harmonic_frame(n, N, r)`` is D^t times column k,
+D = diag(omega**r_j) unitary, so the screen sees one subset per orbit and
+the SVD every rotation of those it keeps.  A refutation met there is found
+again by the lexicographic scan, and ``subsets_svd`` counts both passes.
+For ETF(21,5) at K = 15 the lexicographic scan screens 54,264 subsets and
+sends 66 to the SVD, the orbit scan 2,586 and 126.
 
 ``min_cond_bound`` inverts the admissibility inequality
 
@@ -215,8 +215,9 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     Exhaustive mode enumerates all C(N, K) subsets in lexicographic order
     (the reported worst subset is the lexicographically smallest maximizer);
     sampled mode takes the max over ``samples`` uniform subsets, a lower
-    bound on the true worst case, drawn one after another from a single
-    ``SUBSETS`` substream.  A rank-deficient subset raises
+    bound on the true worst case, drawn by :func:`rng.subset_blocks` from a
+    single ``SUBSETS`` substream; both modes refuse more than
+    ``EXHAUSTIVE_BUDGET`` subsets.  A rank-deficient subset raises
     :class:`RankDeficient` with the refuted certificate (``worst_cond`` inf).
     An exhaustive scan of a harmonic frame with N <= 64, so that a subset's
     mask fits a ``uint64``, screens rotation-orbit representatives first.
@@ -224,31 +225,30 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     N = f.M
     if not f.n <= K <= N:
         raise OutOfRange(f"need n <= K <= N, got K={K}, n={f.n}, N={N}")
+    a, row = f.array, 3 * f.array[:, :K].nbytes   # gathered, Gram eigensolve, SVD copy
     if mode == EXHAUSTIVE:
         count = math.comb(N, K)
         if count > EXHAUSTIVE_BUDGET:
             raise BudgetExceeded(f"C({N},{K}) = {count} subsets exceeds budget "
                                  f"{EXHAUSTIVE_BUDGET}")
         subsets = combinations(range(N), K)
+        blocks = (np.array(list(islice(subsets, stop - start)))
+                  for start, stop in rng.trial_ranges(count, row))
     elif mode == SAMPLED:
         if samples < 1:
             raise OutOfRange("sampled mode needs samples >= 1")
-        count = samples
-        stream = rng.substream(seed, rng.SUBSETS)
-        subsets = (tuple(sorted(stream.choice(N, size=K, replace=False).tolist()))
-                   for _ in range(samples))
+        if samples > EXHAUSTIVE_BUDGET:
+            raise BudgetExceeded(f"{samples} samples exceeds budget {EXHAUSTIVE_BUDGET}")
+        count, blocks = samples, rng.subset_blocks(seed, N, K, samples, row)
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
-    a, row = f.array, 3 * f.array[:, :K].nbytes   # gathered, Gram eigensolve, SVD copy
     orbits = mode == EXHAUSTIVE and N <= 64 and harmonic_rows(a) is not None
     worst, svd = math.inf, 0
     if orbits:
         worst, worst_subset, _, svd = _scan(a, row, *_orbits(N, K, row))
         examined = count
     if worst == math.inf:   # the generic route, or a refutation found again in order
-        worst, worst_subset, examined, generic = _scan(a, row, (
-            np.array(list(islice(subsets, stop - start)))
-            for start, stop in rng.trial_ranges(count, row)))
+        worst, worst_subset, examined, generic = _scan(a, row, blocks)
         svd += generic
     cert = NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
                           worst_subset=worst_subset, mode=mode, subsets_examined=examined,

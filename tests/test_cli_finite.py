@@ -379,13 +379,15 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
     (("construct", "--kind", "scaled-onb", "--out"), "params.n"),
     # counts are range-checked even where the mode ignores them, before any file is read
     (("ner", "--frame", "etf7.json", "--K", 5, "--samples", -4, "--json"), "params.samples"),
+    (("ner", "--frame", "etf7.json", "--K", 5, "--mode", "sampled", "--samples", 10**6 + 1,
+      "--json"), "params.samples"),
     (("khintchine", "--m", 2, "--count", 3, "--dim", 2, "--seed", 1, "--exact",
       "--trials", -7, "--json"), "params.trials"),
 ], ids=["m-31", "m-0", "exact-count-21", "copies-0", "copies-0-harmonic", "harmonic-n-0",
         "onb-n-0", "harmonic-M-below-n", "real-harmonic-M-n", "sweep-M-below-n",
         "cond-limit-0", "cond-limit-negative", "family-file-circulant", "harmonic-no-M",
         "harmonic-no-n", "etf-no-M", "etf-no-N", "onb-no-n", "samples-negative",
-        "trials-negative"])
+        "samples-above-budget", "trials-negative"])
 def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     out = tmp_path / "out.json"
     code, result = run_cli(capsys, *argv, out)

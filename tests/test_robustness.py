@@ -168,6 +168,12 @@ def test_worst_budget_guard(etf37):
         worst_condition(big, 25)
 
 
+def test_sampled_budget_guard(etf37):
+    # refused before any draw, like an exhaustive count over the budget
+    with pytest.raises(BudgetExceeded):
+        worst_condition(etf37, 4, mode="sampled", samples=robustness.EXHAUSTIVE_BUDGET + 1)
+
+
 def test_worst_k_range_validation(etf37):
     with pytest.raises(OutOfRange):
         worst_condition(etf37, 2)
@@ -361,6 +367,75 @@ def test_rank_deficient_scan_raises_its_certificate_once(monkeypatch, mode, samp
     assert info.value.certificate == cert
     assert (cert.worst_cond, cert.worst_subset, cert.subsets_examined, cert.mode) == (
         math.inf, order[first], first + 1, mode)
+
+
+# ---------------------------------------------------------------------------
+# sampled subsets replayed from raw PCG64 words
+# ---------------------------------------------------------------------------
+
+def replayed(seed, N, K, samples, row_bytes=1):
+    return [tuple(s) for block in rng.subset_blocks(seed, N, K, samples, row_bytes)
+            for s in block.tolist()]
+
+
+def floyd(N, K):
+    """Whether ``Generator.choice(N, K, replace=False)`` takes Floyd's branch."""
+    return N <= rng._FLOYD_N or K <= N // 50
+
+
+@pytest.mark.parametrize("N, K, samples, branch", [
+    (21, 15, 500, True), (7, 4, 500, True), (57, 30, 200, True),
+    (21, 21, 50, True), (21, 20, 200, True), (10001, 200, 4, True),
+    (10001, 201, 4, False), (10050, 10000, 2, False),
+    (10001, 10001, 2, False), (10001, 10000, 2, False),
+], ids=["etf21-K15", "etf7-K4", "N57-K30", "K=N", "N-K=1", "floyd-edge",
+        "tail-edge", "tail", "tail-K=N", "tail-N-K=1"])
+def test_replayed_subsets_are_generator_choice(N, K, samples, branch):
+    assert floyd(N, K) == branch
+    for seed in (0, 1):
+        assert replayed(seed, N, K, samples) == sampled_draws(seed, N, K, samples)
+
+
+def test_replayed_subsets_redraw_rejected_halves():
+    # Lemire's rejection (m mod 2^32 < 2^32 mod (j + 1)) takes an extra half
+    N, K, samples = 9000, 8990, 10
+    halves = samples * (2 * K - 1)   # every draw once, Floyd's and the shuffle's
+    redrawn = 0
+    for seed in range(40):
+        assert replayed(seed, N, K, samples) == sampled_draws(seed, N, K, samples)
+        stream = rng.substream(seed, rng.SUBSETS)
+        for _ in range(samples):
+            stream.choice(N, size=K, replace=False)
+        nominal = rng.substream(seed, rng.SUBSETS).bit_generator
+        nominal.advance(-(-halves // 2))
+        used, once = stream.bit_generator.state, nominal.state
+        redrawn += (used["state"], used["has_uint32"]) != (once["state"], once["has_uint32"])
+    assert redrawn >= 1
+
+
+@pytest.mark.parametrize("N, K", [(21, 15), (10001, 201)])
+def test_replayed_subsets_carry_a_half_across_blocks(monkeypatch, N, K):
+    # blocks of 7 subsets of an odd number of draws end inside a word
+    draws = 2 * K - 1 if floyd(N, K) else K
+    assert 7 * draws % 2
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", 7)
+    blocks = list(rng.subset_blocks(3, N, K, 15, 1))
+    assert [len(b) for b in blocks] == [7, 7, 1]
+    assert [tuple(s) for b in blocks for s in b.tolist()] == sampled_draws(3, N, K, 15)
+
+
+def test_replayed_subsets_are_pinned():
+    # a NumPy whose choice changes fails the oracle tests above, not this one
+    golden = {
+        0: [(0, 2, 3, 4, 6, 7, 8, 11, 12, 13, 15, 16, 17, 18, 20),
+            (2, 3, 6, 7, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20)],
+        1: [(2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 18, 19),
+            (0, 1, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 17, 18)],
+        2: [(0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 14, 15, 16),
+            (0, 2, 3, 4, 5, 6, 7, 10, 11, 13, 15, 16, 17, 18, 19)],
+    }
+    for seed, subsets in golden.items():
+        assert replayed(seed, 21, 15, 2) == subsets
 
 
 # ---------------------------------------------------------------------------
