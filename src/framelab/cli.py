@@ -25,8 +25,8 @@ One writer, ``_json_bytes``, makes every JSON output file, and its bytes are
 an indent ``json`` falls back to its pure-Python encoder, so a NumPy array in
 ``doc`` (a frame's matrix entries, from ``Frame.json_fields``) skips it: the
 small skeleton is dumped with a placeholder string where the array was, and
-the array is rendered with one ``%`` over its ``tolist()`` into a layout of the
-same separators, after a vectorized finite check.
+the array, after a vectorized finite check, is rendered by one ``%`` into a
+layout of the same separators, each distinct float rendered once.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
@@ -34,6 +34,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -44,6 +45,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, fields
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -309,19 +311,23 @@ def _json_bytes(doc) -> bytes:
 
     The bytes are ``json.dumps(doc, sort_keys=True, allow_nan=False, indent=2)
     + "\\n"``.  Each float64 ndarray is rendered by :func:`_render_array` and
-    spliced in where its slot string lies in the dumped skeleton.
+    spliced in where its slot string lies in the dumped skeleton.  The pieces
+    are dropped before the joined text is encoded, so at most two copies of
+    the text (the 4.7 MB of harmonic(16, 4096)) are alive at once, not three.
     """
     arrays: list = []
-    text = _dumps(_skeleton(doc, arrays), indent=2)
+    skeleton = _dumps(_skeleton(doc, arrays), indent=2)
     slots = [json.dumps(_SLOT.format(i)) for i in range(len(arrays))]
     pieces, done = [], 0
-    for at, i in sorted((text.index(slot), i) for i, slot in enumerate(slots)):
-        line = text[text.rfind("\n", 0, at) + 1:at]
+    for at, i in sorted((skeleton.index(slot), i) for i, slot in enumerate(slots)):
+        line = skeleton[skeleton.rfind("\n", 0, at) + 1:at]
         depth = (len(line) - len(line.lstrip(" "))) // 2
-        pieces += [text[done:at], _render_array(arrays[i], depth)]
+        pieces += [skeleton[done:at], _render_array(arrays[i], depth)]
         done = at + len(slots[i])
-    pieces += [text[done:], "\n"]
-    return "".join(pieces).encode()
+    pieces += [skeleton[done:], "\n"]
+    text = "".join(pieces)
+    del pieces
+    return text.encode()
 
 
 def _skeleton(obj, arrays: list):
@@ -339,20 +345,34 @@ def _skeleton(obj, arrays: list):
 def _render_array(a: np.ndarray, depth: int) -> str:
     """``json.dumps(a.tolist(), indent=2)`` nested ``depth`` levels deep.
 
-    One ``%`` fills a layout of the ``indent=2`` separators with the
-    ``float.__repr__`` of every entry, the text ``json`` writes for a float.
+    ``json`` writes a float as its ``float.__repr__``.  Each distinct bit
+    pattern is rendered once: an argsort of the ``uint64`` view groups equal
+    entries (``np.unique`` on the floats would merge -0.0 into 0.0), and the
+    strings are gathered back to entry order.  harmonic(16, 4096) holds
+    40,271 patterns in 131,072 entries.  One ``%`` fills a layout of the
+    ``indent=2`` separators with them.
     """
     if a.dtype != np.float64:
         raise TypeError(f"only float64 arrays are written, got {a.dtype}")
     if not np.isfinite(a).all():
         raise NonFiniteEntry("non-finite value in JSON output")
-    return _layout(a.shape, depth) % tuple(a.ravel().tolist())
+    bits = a.reshape(-1).view(np.uint64)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(bits.size, dtype=bool)   # the first entry of each pattern
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    texts = np.array([repr(v) for v in ordered[first].view(np.float64).tolist()],
+                     dtype=object)
+    gathered = np.empty(bits.size, dtype=object)
+    gathered[order] = texts[np.cumsum(first) - 1]
+    return _layout(a.shape, depth) % tuple(gathered.tolist())
 
 
 def _layout(shape: tuple, depth: int) -> str:
-    """The ``indent=2`` text of a nested list of ``shape``, ``%r`` for each number."""
+    """The ``indent=2`` text of a nested list of ``shape``, ``%s`` for each number."""
     if not shape:
-        return "%r"
+        return "%s"
     if shape[0] == 0:
         return "[]"
     item = _layout(shape[1:], depth + 1)
@@ -505,7 +525,7 @@ def _run_khintchine(cfg: ExperimentConfig, files: dict):
                        trials=p["trials"], seed=cfg.seed)
     est = khintchine_check(family, p["m"], ens)
     doc = _fields(est)
-    return _json_bytes(doc), doc, {} if est.exact else {"trials": est.trials}
+    return _json_bytes(doc), doc, {"patterns" if est.exact else "trials": est.trials}
 
 
 def _run_probe(cfg: ExperimentConfig, files: dict):
@@ -610,7 +630,38 @@ _COMMANDS: dict[str, Command] = {
 
 
 # stdout only: output files carry no timing, so reruns stay byte-identical
-_RATES = {"trials": "trials_per_s", "subsets_examined": "subsets_per_s"}
+_RATES = {"trials": "trials_per_s", "subsets_examined": "subsets_per_s",
+          "patterns": "patterns_per_s"}
+
+
+def _git_revision(root: Path) -> str | None:
+    """The commit checked out at ``root``, read from its ``.git`` files; None outside a checkout."""
+    git = root / ".git"
+    try:
+        if git.is_file():   # a linked worktree or a submodule: "gitdir: <path>"
+            git = root / git.read_text().split(":", 1)[1].strip()
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):   # a detached HEAD holds the commit
+            return head
+        ref = head[len("ref: "):]
+        shared = git / "commondir"   # a linked worktree keeps its refs in the main .git
+        common = git / shared.read_text().strip() if shared.is_file() else git
+        for base in (git, common):
+            if (base / ref).is_file():
+                return (base / ref).read_text().strip()
+        for line in (common / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except (OSError, IndexError):
+        pass
+    return None
+
+
+@functools.cache
+def _source_revision() -> str | None:
+    """The git revision of the source checkout two levels above this package
+    (its ``src`` layout), read once per process; None for an installed package."""
+    return _git_revision(Path(__file__).resolve().parents[2])
 
 
 def run(cfg: ExperimentConfig) -> dict:
@@ -621,9 +672,10 @@ def run(cfg: ExperimentConfig) -> dict:
     and ``duration_seconds`` their sum.  ``counters`` holds the runner's work
     counts: trials, subsets examined, and a result record's ``compare=False``
     fields, which no output file carries; ``trials`` and ``subsets_examined``
-    gain their rates over the compute time.  ``env`` names what the results
-    depend on besides the config: the Python and NumPy versions and the Monte
-    Carlo stream version.
+    gain their rates over the compute time, and so does exact ``khintchine``'s
+    ``patterns``.  ``env`` names what the results depend on besides the
+    config: the Python, NumPy and BLAS versions, the BLAS thread pins (None
+    when unset), the git revision and the Monte Carlo stream version.
     """
     spec = _COMMANDS[cfg.command]
     start = time.perf_counter()
@@ -641,6 +693,7 @@ def run(cfg: ExperimentConfig) -> dict:
                "write": time.perf_counter() - computed}
     counters.update({rate: counters[count] / compute if compute > 0 else 0.0
                      for count, rate in _RATES.items() if count in counters})
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "command": cfg.command,
         "config": cfg.echo(),
@@ -651,7 +704,10 @@ def run(cfg: ExperimentConfig) -> dict:
         "result": result,
         "counters": counters,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "stream_version": rng.STREAM_VERSION},
+                "blas": {"name": blas.get("name"), "version": blas.get("version")},
+                **{pin: os.environ.get(pin) for pin in ("OPENBLAS_NUM_THREADS",
+                                                        "OMP_NUM_THREADS")},
+                "git_revision": _source_revision(), "stream_version": rng.STREAM_VERSION},
     }
 
 
@@ -662,11 +718,13 @@ def run(cfg: ExperimentConfig) -> dict:
 _FLAG_TYPES = {"int": int, "float": float}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """One flag per schema parameter: ``--`` plus its name in kebab case.
 
     Flags carry no choices or bounds: :func:`validate` checks them, so a
-    bad flag value and a bad config-file value fail alike.
+    bad flag value and a bad config-file value fail alike.  Built once per
+    process (about 1 ms): parsing reads the parser and never changes it.
     """
     parser = argparse.ArgumentParser(
         prog="framelab",

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,11 +630,70 @@ def test_empty_optional_path_exits_2(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
-def test_exact_khintchine_reports_no_trial_counters(tmp_path, capsys):
+def test_exact_khintchine_reports_its_pattern_count(tmp_path, capsys):
+    out = tmp_path / "k.json"
     code, manifest = run_cli(capsys, "khintchine", "--m", 2, "--count", 4, "--dim", 3,
-                             "--exact", "--seed", 1, "--json", tmp_path / "k.json")
+                             "--exact", "--seed", 1, "--json", out)
     assert code == 0
-    assert manifest["counters"] == {}
+    counters = manifest["counters"]
+    assert set(counters) == {"patterns", "patterns_per_s"}
+    assert counters["patterns"] == 2 ** 4
+    assert counters["patterns_per_s"] == 2 ** 4 / manifest["timings"]["compute"]
+    assert "patterns" not in out.read_text()
+
+
+def test_manifest_env_names_blas_thread_pins_and_revision(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "rows.json"
+    code, manifest = run_cli(capsys, "stirling", "--m-max", 3, "--json", out)
+    assert code == 0
+    env = manifest["env"]
+    assert set(env) == {"python", "numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "git_revision", "stream_version"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas.get("name"), "version": blas.get("version")}
+    assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("3", None)
+    assert env["git_revision"] == cli._git_revision(Path(cli.__file__).resolve().parents[2])
+    for key in env:   # output files carry no environment
+        assert key not in out.read_text()
+
+
+def _checkout(root, head, refs=None, packed=None):
+    git = root / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text(head + "\n")
+    for ref, sha in (refs or {}).items():
+        (git / ref).write_text(sha + "\n")
+    if packed is not None:
+        (git / "packed-refs").write_text(packed)
+    return git
+
+
+def test_git_revision_is_read_from_the_git_files(tmp_path):
+    a, b = "a" * 40, "b" * 40
+    cases = {
+        "detached": (a, {}, None),
+        "loose": ("ref: refs/heads/main", {"refs/heads/main": a}, f"{b} refs/heads/main\n"),
+        "packed": ("ref: refs/heads/main", {},
+                   f"# pack-refs with: peeled\n{b} refs/heads/other\n{a} refs/heads/main\n"),
+    }
+    for name, (head, refs, packed) in cases.items():
+        _checkout(tmp_path / name, head, refs, packed)
+        assert cli._git_revision(tmp_path / name) == a, name
+    # a linked worktree: .git names its own HEAD, and its refs live in the main .git
+    main_git = _checkout(tmp_path / "main", "ref: refs/heads/main", {"refs/heads/main": b})
+    linked = main_git / "worktrees" / "side"
+    linked.mkdir(parents=True)
+    (linked / "HEAD").write_text("ref: refs/heads/main\n")
+    (linked / "commondir").write_text("../..\n")
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / ".git").write_text(f"gitdir: {linked}\n")
+    assert cli._git_revision(tmp_path / "side") == b
+    # outside a checkout, and with a branch that has no commit yet
+    assert cli._git_revision(tmp_path / "none") is None
+    _checkout(tmp_path / "unborn", "ref: refs/heads/main")
+    assert cli._git_revision(tmp_path / "unborn") is None
 
 
 @pytest.mark.parametrize("argv, records, counted", [

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from framelab import DenseMatrix, circulant_dictionary, harmonic_frame
-from framelab.cli import _build_parser, main
+from framelab import (DenseMatrix, circulant_dictionary, harmonic_frame, stirling_bound_check,
+                      worst_condition)
+from framelab.cli import _build_parser, _fields, main
+from framelab.frames import difference_set_etf, find_difference_set
 
 # Sorted option strings of each subcommand, as the CLI has always offered them.
 FLAGS = {
@@ -73,6 +75,32 @@ def test_bad_choice_flag_matches_config_file(tmp_path, capsys):
     assert main(["construct", "--kind", "bogus", "--n", "3",
                  "--out", str(tmp_path / "f.json")]) == 2
     assert last_json(capsys) == from_file
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    """A refused argv leaves the cached parser fit for the commands after it."""
+    parser = _build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    with pytest.raises(SystemExit) as refused:
+        main(["construct", "--kind", "etf", "--N", "abc"])
+    assert refused.value.code == 2
+    frame, cert, rows = (tmp_path / name for name in ("frame.json", "cert.json", "rows.json"))
+    assert main(["construct", "--kind", "etf", "--N", "7", "--M", "3", "--out", str(frame)]) == 0
+    assert main(["ner", "--frame", str(frame), "--K", "4", "--json", str(cert)]) == 0
+    assert main(["stirling", "--m-max", "6", "--json", str(rows)]) == 0
+    capsys.readouterr()
+    assert built == [] and _build_parser() is parser
+    etf = difference_set_etf(find_difference_set(7, 3))
+    expected = {frame: etf.to_json_dict(),
+                cert: {"certificate": _fields(worst_condition(etf, 4))},
+                rows: {"m_max": 6, "all_hold": True,
+                       "rows": [_fields(stirling_bound_check(m)) for m in range(1, 7)]}}
+    for path, doc in expected.items():
+        text = json.dumps(doc, sort_keys=True, allow_nan=False, indent=2) + "\n"
+        assert path.read_bytes() == text.encode(), path.name
 
 
 # --------------------------------------------------------------------------

@@ -105,6 +105,29 @@ def test_arrays_of_any_shape_match_their_lists(shape):
     assert _json_bytes(nested) == stdlib_bytes({"x": [a.tolist(), {"y": a.tolist()}]})
 
 
+# each distinct bit pattern is rendered once and gathered back to its entries
+
+def test_interleaved_signed_zeros_keep_their_own_text():
+    a = np.tile([0.0, -0.0, -0.0, 0.0, 1.0], 2000).reshape(-1, 2)
+    text = _json_bytes(a)
+    assert text == stdlib_bytes(a.tolist())
+    numbers = [line.strip().rstrip(",") for line in text.decode().splitlines()
+               if line.strip().rstrip(",") not in ("[", "]")]
+    assert numbers == [repr(v) for v in a.ravel().tolist()]
+    assert numbers.count("-0.0") == 4000
+
+
+@pytest.mark.parametrize("values, patterns", [
+    (np.full(3000, 0.1), 1),
+    (np.random.default_rng(0).standard_normal(3000), 3000),
+    (np.random.default_rng(1).choice(np.array(SPECIALS), 3000), len(SPECIALS)),
+], ids=["all-equal", "all-distinct", "repeated-in-random-order"])
+def test_any_share_of_distinct_values_gives_the_stdlib_bytes(values, patterns):
+    a = values.reshape(1500, 2)
+    assert np.unique(a.view(np.uint64)).size == patterns
+    assert _json_bytes({"m": [a]}) == stdlib_bytes({"m": [a.tolist()]})
+
+
 def test_documents_without_arrays_are_the_stdlib_bytes():
     doc = {"b": [1, 2.5, None, True, "x", (3, 4)], "a": {"c": -0.0, "d": []}}
     assert _json_bytes(doc) == stdlib_bytes(doc)
