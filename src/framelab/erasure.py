@@ -28,7 +28,8 @@ Seeded Monte Carlo runs a mask kernel on the block loop of ``rng``: it feeds
 it the masks u < keep_prob from ``rng.mc_values``, u being trial t's own row
 of the ``MASK`` stream.  The kernel reconstructs a block's masks by one
 stacked (B, 1, M) @ (M, 2n) real-view matmul and takes each error as a stacked
-dot product.  Each mask gets the same BLAS calls whatever block it lands in,
+dot product; the masks, y and x - y live in buffers reused from block to
+block.  Each mask gets the same BLAS calls whatever block it lands in,
 so its error is bit-identical across block sizes.
 """
 
@@ -130,12 +131,12 @@ def _error_kernel(f: Frame, x, keep_prob: float):
     b = _contributions(f, x, keep_prob)
     # real views: a complex row of length n is a real row of length 2n
     cols = _real_view(np.ascontiguousarray(b.T))        # (M, n or 2n)
+    xr = _real_view(x.astype(b.dtype))
+    ys, ds = rng.block_buffer((1, len(xr))), rng.block_buffer((len(xr),))
 
     def kernel(kept):
-        y = (kept[:, None, :] @ cols)[:, 0, :]
-        if np.iscomplexobj(b):
-            y = y.view(np.complex128)
-        d = _real_view(x - y)
+        y = np.matmul(kept[:, None, :], cols, out=ys(len(kept)))[:, 0, :]
+        d = np.subtract(xr, y, out=ds(len(kept)))
         return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
     return kernel
@@ -177,9 +178,16 @@ def per_trial_errors(f: Frame, x, trials: int, seed: int,
     if not 0.0 < keep_prob <= 1.0:
         raise OutOfRange(f"keep_prob must be in (0, 1], got {keep_prob}")
     kernel = _error_kernel(f, x, keep_prob)
-    # scratch per trial: the mask as bool and as float64, y and x - y
-    return rng.mc_values(seed, rng.MASK, trials, f.M, 9 * f.M + 32 * f.n,
-                         lambda u: kernel((u < keep_prob).astype(np.float64)))
+    kept, mask = rng.block_buffer((f.M,), bool), rng.block_buffer((f.M,))
+
+    def errors(u):
+        m = mask(len(u))
+        m[...] = np.less(u, keep_prob, out=kept(len(u)))
+        return kernel(m)
+
+    # scratch per trial, in buffers reused from block to block: the mask as
+    # bool and as float64, y and x - y
+    return rng.mc_values(seed, rng.MASK, trials, f.M, 9 * f.M + 32 * f.n, errors)
 
 
 def _real_view(a: np.ndarray) -> np.ndarray:

@@ -203,11 +203,13 @@ def _harmonic_kernel(v: np.ndarray):
         return None
     s = v[0, 0].real
     k = (np.arange(2 * n - 1) - n + 1) % M
+    mats = rng.block_buffer((n, n))   # each block's A, built in one reused buffer
 
     def kernel(signs):
         c = (s * s * M) * np.fft.ifft(signs, axis=1)
         w = sliding_window_view(c[:, k], n, axis=1)   # w[:, a, b] = c[(a + b - n + 1) mod M]
-        return operator_norms(w.real[:, :, ::-1] - w.imag, hermitian=True)
+        return operator_norms(np.subtract(w.real[:, :, ::-1], w.imag, out=mats(len(signs))),
+                              hermitian=True)
     return kernel
 
 
@@ -230,7 +232,7 @@ def rudelson_check(vectors, ensemble: SignEnsemble) -> InequalityEstimate:
         lhs, lhs_stderr, trials = _sign_average(
             ensemble, (n * M + 3 * n * n) * v.itemsize,
             lambda signs: operator_norms((v * signs[:, None, :]) @ vh, hermitian=True))
-    else:   # the FFT and c, then A, its LAPACK copy and workspace
+    else:   # the FFT and c, then A (in a reused buffer), its LAPACK copy and workspace
         lhs, lhs_stderr, trials = _sign_average(ensemble, 32 * (M + n * n), kernel)
     max_norm = float(np.max(np.linalg.norm(v, axis=0)))
     rhs = math.sqrt(math.log(n)) * max_norm * math.sqrt(operator_norm(v @ v.conj().T))

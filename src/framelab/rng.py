@@ -16,6 +16,12 @@ uniforms, ``pattern_values`` the 0/1 rows of all 2^width patterns.  Its
 block rule, ``trial_ranges``, also cuts the isometry check's family and the
 column subsets of a robustness scan.
 
+A Monte Carlo call allocates its scratch once, not once per block: one
+Philox stream, advanced by each block's draw, and one buffer of uniforms,
+whose rows are valid only until the kernel returns.  Kernels keep their own
+scratch in ``block_buffer``s the same way, in per-call closures.  The first
+block of ``trial_ranges`` is its largest, so it sizes every buffer.
+
 Sampled column subsets are replayed from the raw PCG64 words of
 ``substream(seed, SUBSETS)``: ``subset_blocks`` yields, block by block, the
 subsets that successive ``Generator.choice(N, K, replace=False)`` calls give
@@ -84,13 +90,39 @@ def _philox_key(seed, domain) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
+def _draw(bitgen, stride, out) -> np.ndarray:
+    """Fill ``out`` with the uniforms of the stream's next len(out) trials.
+
+    Each trial takes ``stride`` counters, four words each, and keeps the
+    first out.shape[1] words w as (w >> 11) 2^-53.
+    """
+    raw = bitgen.random_raw((len(out), 4 * stride))
+    raw >>= 11
+    return np.multiply(raw[:, :out.shape[1]], 2.0**-53, out=out)
+
+
 def uniforms(seed, domain, start, stop, width) -> np.ndarray:
     """(stop - start, width) uniforms in [0, 1) of trials [start, stop)."""
     stride = -(-width // 4)   # counters per trial; each yields four words
     bitgen = np.random.Philox(key=_philox_key(seed, domain))
     bitgen.advance(start * stride)
-    raw = bitgen.random_raw((stop - start) * stride * 4)
-    return (raw.reshape(stop - start, 4 * stride)[:, :width] >> 11) * 2.0**-53
+    return _draw(bitgen, stride, np.empty((stop - start, width)))
+
+
+def block_buffer(shape, dtype=np.float64):
+    """A function b -> (b, *shape) view of one buffer, for a block's scratch.
+
+    The buffer is allocated at the first call, which in a block loop is its
+    largest block, and only grows if a later call is larger.
+    """
+    buffer = np.empty((0, *shape), dtype)
+
+    def rows(b):
+        nonlocal buffer
+        if len(buffer) < b:
+            buffer = np.empty((b, *shape), dtype)
+        return buffer[:b]
+    return rows
 
 
 def rademacher(u: np.ndarray) -> np.ndarray:
@@ -200,12 +232,18 @@ def _block_values(count, row_bytes, rows, kernel, min_trials=1) -> np.ndarray:
 def mc_values(seed, domain, trials, width, row_bytes, kernel, min_trials=1) -> np.ndarray:
     """Values of ``trials`` Monte Carlo trials, evaluated block by block.
 
-    ``kernel`` maps a block's (B, width) uniforms to its B trial values and
-    needs ``row_bytes`` of scratch per trial, on top of the draw's own: the
-    raw words (at most width + 3), the shifted words and the uniforms.
+    ``kernel`` maps the (B, width) uniforms of a block's trials [start,
+    stop), ``uniforms(seed, domain, start, stop, width)``, to their B values.
+    The rows live in one buffer that the next block overwrites: they are
+    valid only until the kernel returns.  The kernel needs ``row_bytes`` of
+    scratch per trial, on top of the draw's own, which is counted as
+    3 width + 3 words and holds the raw words (at most width + 3, shifted in
+    place) and the uniforms.
     """
+    bitgen, rows = np.random.Philox(key=_philox_key(seed, domain)), block_buffer((width,))
+    stride = -(-width // 4)
     return _block_values(trials, row_bytes + 8 * (3 * width + 3), lambda start, stop:
-                         uniforms(seed, domain, start, stop, width), kernel, min_trials)
+                         _draw(bitgen, stride, rows(stop - start)), kernel, min_trials)
 
 
 def pattern_values(width, row_bytes, kernel) -> np.ndarray:

@@ -4,9 +4,11 @@ Trial t of a Philox stream reads its own counter block, so a block of trials
 draws exactly what the trials draw one at a time, and the draws are pinned.
 Each estimator evaluates its trials in blocks of ``rng._BLOCK_TRIALS``
 (fewer when a trial's scratch is large).  The block size must not change the
-samples: every estimate matches a per-trial reference loop written here that
-regenerates each trial on its own, the erasure errors are bit-identical
-across block sizes, and memory does not grow with the trial count.
+samples: a kernel sees exactly the uniforms of its block, every estimate
+matches a per-trial reference loop written here that regenerates each trial
+on its own, the erasure errors are bit-identical across block sizes, and
+memory does not grow with the trial count.  A call's blocks share one buffer
+of uniforms, valid only until the kernel returns.
 
 The two structured inputs, the circulant family and the harmonic frame,
 take their own kernels (an FFT per trial); their per-trial values are
@@ -84,6 +86,35 @@ def test_block_draw_equals_single_trial_draws(width):
     assert np.all((0.0 <= block) & (block < 1.0))
 
 
+@pytest.mark.parametrize("width", [1, 3, 5, 4096])
+def test_kernel_sees_the_uniforms_of_its_block(block, width):
+    seen = []
+
+    def kernel(u):
+        seen.append(u.copy())
+        return u[:, 0]
+
+    values = rng.mc_values(9, rng.SIGNS, 600, width, 8 * width, kernel)
+    assert len(seen) >= 600 // block
+    start = 0
+    for u in seen:
+        assert np.array_equal(u, rng.uniforms(9, rng.SIGNS, start, start + len(u), width))
+        start += len(u)
+    assert start == 600
+    assert np.array_equal(values, rng.uniforms(9, rng.SIGNS, 0, 600, width)[:, 0])
+
+
+def test_blocks_of_a_call_share_one_buffer_of_uniforms(block):
+    addresses = []
+
+    def kernel(u):
+        addresses.append(u.__array_interface__["data"][0])
+        return np.zeros(len(u))
+
+    rng.mc_values(2, rng.MASK, 3 * block + 1, 5, 0, kernel)
+    assert len(addresses) == 4 and len(set(addresses)) == 1
+
+
 def test_philox_key_is_apart_from_substream_state():
     for seed, domain in [(0, rng.MASK), (7, rng.SIGNS), (-3, rng.DISTR)]:
         key = rng._philox_key(seed, domain)
@@ -133,13 +164,14 @@ def test_erasure_matches_per_trial_loop(block, n, M, keep_prob):
 
 
 def test_erasure_bit_identical_across_block_sizes(monkeypatch):
-    f = harmonic_frame(4, 16)
-    x = deterministic_unit_vector(4, 5)
-    runs = []
-    for size in BLOCKS:
-        monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
-        runs.append(per_trial_errors(f, x, 50, 9))
-    assert all(np.array_equal(runs[0], other) for other in runs[1:])
+    for n, M, keep_prob in [(4, 16, 0.5), (4, 16, 0.3), (4, 16, 1.0), (3, 7, 0.5)]:
+        f = harmonic_frame(n, M)
+        x = deterministic_unit_vector(n, 5)
+        runs = []
+        for size in BLOCKS:
+            monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
+            runs.append(per_trial_errors(f, x, 50, 9, keep_prob))
+        assert all(np.array_equal(runs[0], other) for other in runs[1:]), (M, keep_prob)
 
 
 def test_rudelson_matches_per_trial_loop(block):
@@ -351,8 +383,12 @@ def test_exact_contraction_matches_pattern_loop(block, shape):
 ESTIMATORS = {
     "erasure": lambda trials: per_trial_errors(
         harmonic_frame(2, 8), deterministic_unit_vector(2, 1), trials, 1),
+    "erasure-wide": lambda trials: per_trial_errors(
+        harmonic_frame(16, 1024), deterministic_unit_vector(16, 1), trials, 1),
     "rudelson": lambda trials: rudelson_check(
         harmonic_frame(2, 6), SignEnsemble(count=6, trials=trials, seed=1)),
+    "rudelson-wide": lambda trials: rudelson_check(
+        harmonic_frame(16, 64), SignEnsemble(count=64, trials=trials, seed=1)),
     "rudelson-generic": lambda trials: rudelson_check(
         harmonic_frame(2, 6, row_set=(0, 3)), SignEnsemble(count=6, trials=trials, seed=1)),
     "khintchine": lambda trials: khintchine_check(
