@@ -104,6 +104,8 @@ class Frame:
         required = {"n", "M", "normalization", "kind", "matrix"}
         if not isinstance(obj, dict) or set(obj) != required:
             raise ValueError(f"frame JSON must have keys {sorted(required)}")
+        if not isinstance(obj["kind"], str):
+            raise ValueError(f"kind must be a string, got {obj['kind']!r}")
         return cls(
             n=_json_int(obj, "n"),
             M=_json_int(obj, "M"),

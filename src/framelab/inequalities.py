@@ -113,8 +113,12 @@ def khintchine_constant(m: int) -> float:
     """C_m = 2 ((2m)! / (2^m m!))**(1/(2m)), evaluated through log-gamma."""
     if not 1 <= m <= 30:
         raise OutOfRange(f"m must be in 1..30, got {m}")
-    log_ratio = math.lgamma(2 * m + 1) - m * math.log(2.0) - math.lgamma(m + 1)
-    return 2.0 * math.exp(log_ratio / (2 * m))
+    return 2.0 * math.exp(_log_odd_factorial(m) / (2 * m))
+
+
+def _log_odd_factorial(m: int) -> float:
+    """ln (2m)! / (2^m m!), the log of 1 * 3 * ... * (2m - 1), through log-gamma."""
+    return math.lgamma(2 * m + 1) - m * math.log(2.0) - math.lgamma(m + 1)
 
 
 def _stack(summands) -> np.ndarray:
@@ -254,7 +258,7 @@ def stirling_bound_check(m: int) -> StirlingBound:
     """Check (2m)!/(2^m m!) <= sqrt(2) (2/e)^m m^m, evaluated in the log domain."""
     if not 1 <= m <= 150:
         raise OutOfRange(f"m must be in 1..150, got {m}")
-    log_lhs = math.lgamma(2 * m + 1) - m * math.log(2.0) - math.lgamma(m + 1)
+    log_lhs = _log_odd_factorial(m)
     log_rhs = 0.5 * math.log(2.0) + m * (math.log(2.0) - 1.0) + m * math.log(m)
     holds = log_lhs <= log_rhs + 1e-12
     return StirlingBound(m=m, lhs=math.exp(log_lhs), rhs=math.exp(log_rhs), holds=holds)

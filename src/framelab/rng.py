@@ -1,9 +1,9 @@
 """Deterministic random streams, keyed by (seed, domain tag).
 
-One-off draws (input vectors, families, probes, sampled subsets) take a PCG64
-generator from ``substream(seed, domain, index)``.  Monte Carlo trials read a
-counter-based Philox stream (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11) keyed by ``SeedSequence([seed, domain],
+One-off draws (input vectors, families, probes) take a PCG64 generator from
+``substream(seed, domain, index)``.  Monte Carlo trials and sampled subsets
+read a counter-based Philox stream (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11) keyed by ``SeedSequence([seed, domain],
 spawn_key=(STREAM_VERSION,))``; without the spawn key the key would repeat
 the state of ``substream(seed, domain)``.  Trial t of a draw of ``width``
 uniforms reads counters [t s, (t + 1) s), s = ceil(width / 4), and maps each
@@ -22,23 +22,17 @@ whose rows are valid only until the kernel returns.  Kernels keep their own
 scratch in ``block_buffer``s the same way, in per-call closures.  The first
 block of ``trial_ranges`` is its largest, so it sizes every buffer.
 
-Sampled column subsets are replayed from the raw PCG64 words of
-``substream(seed, SUBSETS)``: ``subset_blocks`` yields, block by block, the
-subsets that successive ``Generator.choice(N, K, replace=False)`` calls give
-under NumPy 2.x, without calling it.  NEP 19 keeps a bit generator's raw
-stream stable, not the Generator's methods, so ``choice`` is only the tests'
-oracle.  Each word gives two 32-bit halves, low half first.  A draw on
-[0, j] takes a half h, forms m = h (j + 1) and returns m >> 32, drawing again
-while m mod 2^32 < 2^32 mod (j + 1) (Lemire, ACM TOMACS 2019); a draw on
-[0, 0] takes no half.  When N <= 10,000 or K <= N // 50 the subset is
-Floyd's (Bentley and Floyd, CACM 1987): for j = N - K, ..., N - 1 it adds
-draw[0, j], or j when that is already picked, then K - 1 discarded shuffle
-draws on [0, i], i = K - 1, ..., 1, follow.  Otherwise it is the last K
-entries of arange(N) after idx[i] is swapped with idx[draw[0, i]] for
-i = N - 1 down to max(N - K, 1).  The draws are vectorized over a chunk of
-subsets cut by ``trial_ranges``, never made all at once; a rejected draw
-shifts every later one by a half, fixed up in sequence, and unused halves
-carry over to the next chunk.
+Sampled column subsets read the Philox stream too: subset s is row s of
+the ``SUBSETS`` stream, K uniforms u, fed to Floyd's algorithm (Bentley and
+Floyd, CACM 1987).  For c, j in enumerate(range(N - K, N)) it adds
+d = floor(u[c] (j + 1)), or j when d is already picked.  d never reaches
+j + 1: u <= 1 - 2^-53 puts the exact product at least (j + 1) 2^-53 below
+j + 1, more than half the spacing of the doubles just below it, so rounding
+to nearest keeps it below.  u takes 2^53 equally likely values, and rounding
+the product moves each edge between two values of d by at most one of them,
+so every d in [0, j] has probability 1/(j + 1) to within 2^-52: a relative
+bias of at most (j + 1) 2^-52.  ``subset_blocks`` makes the draws one
+vectorized chunk at a time, with one Python loop over the K columns.
 """
 
 import math
@@ -54,7 +48,7 @@ MASK = 0      # erasure masks, one Philox counter block per trial
 INPUT = 1     # deterministic test input vectors
 SIGNS = 2     # Bernoulli +-1 draws, one Philox counter block per trial
 COEFFS = 3    # random coefficient vectors (lambda)
-SUBSETS = 4   # sampled column subsets
+SUBSETS = 4   # sampled column subsets, one Philox row per subset
 PROBE = 5     # probe vectors x
 FAMILY = 6    # random matrix families
 DISTR = 7     # probe-coefficient distribution draws, one counter block per trial
@@ -72,10 +66,6 @@ _BLOCK_BYTES = 1 << 22
 
 # Longest pattern (mask length, sign count) that is enumerated exactly.
 ENUM_LIMIT = 20
-
-# Generator.choice(N, K, replace=False) runs Floyd's algorithm unless
-# N > _FLOYD_N and K > N // 50, where it shuffles the tail of arange(N).
-_FLOYD_N = 10_000
 
 
 def substream(seed, domain, index=0):
@@ -145,80 +135,27 @@ def trial_ranges(trials, row_bytes, min_trials=1):
     return [(start, min(start + step, trials)) for start in range(0, trials, step)]
 
 
-def subset_blocks(seed, N, K, samples, row_bytes):
+def subset_blocks(seed, N, K, samples):
     """Sorted (B, K) blocks of ``samples`` uniform K-subsets of range(N).
 
-    Subset s is the one the s-th call of ``substream(seed, SUBSETS).choice(N,
-    K, replace=False)`` picks, replayed from the generator's raw words (see
-    the module docstring).  Blocks are those of ``trial_ranges(samples,
-    row_bytes)``; the draw cuts its own work by the block rule too, so that
-    neither its scratch nor its per-chunk Python loop depends on the scan's
-    block size.
+    Subset s is Floyd's pick from row s of the ``SUBSETS`` stream (see the
+    module docstring), so it does not depend on how the blocks are cut.  The
+    blocks are those of ``trial_ranges`` for the draw's own scratch; a caller
+    with a larger row cuts them further.
     """
-    bitgen = substream(seed, SUBSETS).bit_generator
-    floyd = N <= _FLOYD_N or K <= N // 50
-    first = max(N - K, 1)   # a draw on [0, 0] takes no half
-    # bound + 1 of each draw of one subset, in stream order: Floyd's picks and
-    # its discarded shuffle, or the partial Fisher-Yates swaps.  All are at
-    # most N < 2^32, so a product h * span fits 64 bits and NumPy's 32-bit
-    # Lemire route is the one to replay.
-    spans = (np.r_[first:N, K - 1:0:-1] if floyd else np.arange(N - 1, first - 1, -1)) + 1
-    spans = spans.astype(np.uint64)
-    reject = np.uint64(2**32) % spans   # Lemire: draw again while m mod 2^32 < this
-    width, used, low = len(spans), N - first, np.uint64(0xFFFFFFFF)
-    halves = np.empty(0, np.uint64)     # unused 32-bit halves, carried across chunks
-
-    def take(count):                    # at least ``count`` halves, low half first
-        nonlocal halves
-        if len(halves) < count:
-            words = bitgen.random_raw(-(-(count - len(halves)) // 2))
-            halves = np.concatenate([halves, np.column_stack((words & low, words >> 32)).ravel()])
-
-    def draws(b):                       # (b, used): the draws of b subsets the picks use
-        nonlocal halves
-        n, skip = b * width, 0
-        take(n)
-        m = halves[:n].reshape(b, width) * spans
-        flat, hits = m.ravel(), np.flatnonzero((m & low) < reject)
-        while hits.size:                # a rejected half shifts every later draw by one
-            r, skip = int(hits[0]), skip + 1
-            take(n + skip)
-            col = np.arange(r, n) % width
-            flat[r:] = halves[r + skip:n + skip] * spans[col]
-            hits = r + np.flatnonzero((flat[r:] & low) < reject[col])
-        halves = halves[n + skip:].copy()
-        return (m[:, :used] >> 32).astype(np.intp)
-
-    def pick(v):                        # Floyd: j's draw, or j if already picked
-        rows = np.arange(len(v)) * N
-        kept = np.zeros(len(v) * N, bool)
-        kept[rows] = N == K
-        for c, j in enumerate(range(first, N)):
-            x = rows + v[:, c]
-            kept[np.where(kept[x], rows + j, x)] = True
-        return np.flatnonzero(kept).reshape(len(v), K) - rows[:, None]
-
-    def swap(v):                        # partial Fisher-Yates: the last K of arange(N)
-        idx, rows = np.tile(np.arange(N), (len(v), 1)), np.arange(len(v))
-        for c, i in enumerate(range(N - 1, first - 1, -1)):
-            other = idx[rows, v[:, c]]
-            idx[rows, v[:, c]] = idx[:, i]
-            idx[:, i] = other
-        return np.sort(idx[:, N - K:], axis=1)
-
-    def subsets(b):                     # a draw's half, product and temporaries: 48 bytes
-        v = np.concatenate([draws(j - i) for i, j in trial_ranges(b, 48 * width)])
-        return pick(v) if floyd else swap(v)
-
-    # a subset's values and picks, and its mask or index row
-    chunks = (subsets(j - i) for i, j in
-              trial_ranges(samples, 16 * K + (N if floyd else 16 * N)))
-    ready = np.empty((0, K), np.intp)
-    for start, stop in trial_ranges(samples, row_bytes):
-        while len(ready) < stop - start:
-            ready = np.concatenate([ready, next(chunks)])
-        yield ready[:stop - start]
-        ready = ready[stop - start:]
+    bitgen, rows = np.random.Philox(key=_philox_key(seed, SUBSETS)), block_buffer((K,))
+    stride, spans = -(-K // 4), np.arange(N - K + 1, N + 1)
+    # the raw words, uniforms and picks, a subset's mask, and its sorted row
+    for start, stop in trial_ranges(samples, 40 * K + N):
+        u = _draw(bitgen, stride, rows(stop - start))
+        u *= spans
+        base = np.arange(stop - start)[:, None] * N
+        picks = u.astype(np.intp) + base
+        kept = np.zeros((stop - start) * N, bool)
+        for c, j in enumerate(range(N - K, N)):
+            x = picks[:, c]
+            kept[np.where(kept[x], base[:, 0] + j, x)] = True
+        yield np.flatnonzero(kept).reshape(-1, K) - base
 
 
 def _block_values(count, row_bytes, rows, kernel, min_trials=1) -> np.ndarray:

@@ -54,15 +54,16 @@ The worst case is a frame whose every subset is untrusted: each subset then
 gets the SVD as before, plus the screen, about 40% more time.
 
 The routes differ only in the blocks they feed the scan: ``combinations``
-in lexicographic order, draws that ``rng.subset_blocks`` replays from one
-``SUBSETS`` substream, or, for an exhaustive scan of a harmonic frame such
-as a difference-set ETF, rotation orbit representatives (Vale and Waldron,
-2005).  Column k + t of ``harmonic_frame(n, N, r)`` is D^t times column k,
-D = diag(omega**r_j) unitary, so the screen sees one subset per orbit and
-the SVD every rotation of those it keeps.  A refutation met there is found
-again by the lexicographic scan, and ``subsets_svd`` counts both passes.
-For ETF(21,5) at K = 15 the lexicographic scan screens 54,264 subsets and
-sends 66 to the SVD, the orbit scan 2,586 and 126.
+in lexicographic order, Floyd's draws that ``rng.subset_blocks`` makes from
+the rows of the Philox ``SUBSETS`` stream, or, for an exhaustive scan of a
+harmonic frame such as a difference-set ETF, rotation orbit representatives
+(Vale and Waldron, 2005).  Column k + t of ``harmonic_frame(n, N, r)`` is
+D^t times column k, D = diag(omega**r_j) unitary, so the screen sees one
+subset per orbit and the SVD every rotation of those it keeps.  A
+refutation met there is found again by the lexicographic scan, and
+``subsets_svd`` counts both passes.  For ETF(21,5) at K = 15 the
+lexicographic scan screens 54,264 subsets and sends 66 to the SVD, the
+orbit scan 2,586 and 126.
 
 ``min_cond_bound`` inverts the admissibility inequality
 
@@ -215,8 +216,8 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     Exhaustive mode enumerates all C(N, K) subsets in lexicographic order
     (the reported worst subset is the lexicographically smallest maximizer);
     sampled mode takes the max over ``samples`` uniform subsets, a lower
-    bound on the true worst case, drawn by :func:`rng.subset_blocks` from a
-    single ``SUBSETS`` substream; both modes refuse more than
+    bound on the true worst case, drawn by :func:`rng.subset_blocks` from
+    the rows of the Philox ``SUBSETS`` stream; both modes refuse more than
     ``EXHAUSTIVE_BUDGET`` subsets.  A rank-deficient subset raises
     :class:`RankDeficient` with the refuted certificate (``worst_cond`` inf).
     An exhaustive scan of a harmonic frame with N <= 64, so that a subset's
@@ -239,7 +240,9 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
             raise OutOfRange("sampled mode needs samples >= 1")
         if samples > EXHAUSTIVE_BUDGET:
             raise BudgetExceeded(f"{samples} samples exceeds budget {EXHAUSTIVE_BUDGET}")
-        count, blocks = samples, rng.subset_blocks(seed, N, K, samples, row)
+        count = samples
+        blocks = (chunk[i:j] for chunk in rng.subset_blocks(seed, N, K, samples)
+                  for i, j in rng.trial_ranges(len(chunk), row))
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
     orbits = mode == EXHAUSTIVE and N <= 64 and harmonic_rows(a) is not None

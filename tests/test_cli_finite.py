@@ -200,6 +200,21 @@ def test_frame_header_must_hold_json_integers(tmp_path, capsys, argv, n, M, key,
 
 
 @pytest.mark.parametrize("argv", _FRAME_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", [7, None, ["harmonic"]], ids=["number", "null", "list"])
+def test_frame_kind_must_be_a_string(tmp_path, capsys, argv, kind):
+    doc = dict(harmonic_frame(2, 5).to_json_dict(), kind=kind)
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, result = run_cli(capsys, argv[0], "--frame", frame, *argv[1:], out)
+    assert code == 2
+    assert result["error"] == "ConfigInvalid"
+    assert result["field"] == str(frame)
+    assert "kind must be a string" in result["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _FRAME_COMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("key, value, error", [
     ("n", 3, "ShapeMismatch"),
     ("M", 4, "ShapeMismatch"),
