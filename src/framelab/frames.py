@@ -60,6 +60,8 @@ class Frame:
     kind: str = "custom"
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise TypeError(f"kind must be a string, got {self.kind!r}")
         if self.normalization not in (RECON, UNIT):
             raise OutOfRange(f"unknown normalization {self.normalization!r}")
         if self.vectors.rows != self.n or self.vectors.cols != self.M:
@@ -104,8 +106,6 @@ class Frame:
         required = {"n", "M", "normalization", "kind", "matrix"}
         if not isinstance(obj, dict) or set(obj) != required:
             raise ValueError(f"frame JSON must have keys {sorted(required)}")
-        if not isinstance(obj["kind"], str):
-            raise ValueError(f"kind must be a string, got {obj['kind']!r}")
         return cls(
             n=_json_int(obj, "n"),
             M=_json_int(obj, "M"),

@@ -53,17 +53,25 @@ most K n: neither overflow nor underflow can break the bound.
 The worst case is a frame whose every subset is untrusted: each subset then
 gets the SVD as before, plus the screen, about 40% more time.
 
-The routes differ only in the blocks they feed the scan: ``combinations``
-in lexicographic order, Floyd's draws that ``rng.subset_blocks`` makes from
-the rows of the Philox ``SUBSETS`` stream, or, for an exhaustive scan of a
-harmonic frame such as a difference-set ETF, rotation orbit representatives
-(Vale and Waldron, 2005).  Column k + t of ``harmonic_frame(n, N, r)`` is
-D^t times column k, D = diag(omega**r_j) unitary, so the screen sees one
-subset per orbit and the SVD every rotation of those it keeps.  A
-refutation met there is found again by the lexicographic scan, and
-``subsets_svd`` counts both passes.  For ETF(21,5) at K = 15 the
-lexicographic scan screens 54,264 subsets and sends 66 to the SVD, the
-orbit scan 2,586 and 126.
+The routes differ only in the blocks they feed the scan and in the screen:
+``combinations`` in lexicographic order, Floyd's draws that
+``rng.subset_blocks`` makes from the rows of the Philox ``SUBSETS`` stream,
+or, for an exhaustive scan of a harmonic frame such as a difference-set ETF,
+rotation orbit representatives (Vale and Waldron, 2005).  Column k + t of
+``harmonic_frame(n, N, r)`` is D^t times column k, D = diag(omega**r_j)
+unitary, so the screen sees one subset per orbit and the SVD every rotation
+of those it keeps.  A sampled scan of such a frame walks its draws in draw
+order but screens each orbit once, on its least rotation; every other draw
+of that orbit reads the estimate from a table, one estimate within the
+error bound above of every member's exact spectrum, and each draw the band
+keeps goes to the SVD as itself.  A refutation met by the orbit
+representatives is found again by the lexicographic scan, screened through
+the same table, and ``subsets_svd`` counts both passes.  Both modes take
+this ``orbits`` route when N <= 64, so that a subset's mask fits a
+``uint64``, and C(N, K) is within the exhaustive budget, which bounds the
+table.  For ETF(21,5) at K = 15 the lexicographic scan screens 54,264
+subsets and sends 66 to the SVD, the orbit scan 2,586 and 126; 20,000 draws
+at seed 1 screen the 2,583 orbits they meet and send 24 draws to the SVD.
 
 ``min_cond_bound`` inverts the admissibility inequality
 
@@ -122,39 +130,54 @@ class CertifyResult:
     certificate: NerCertificate
 
 
-def _needs_svd(block, floor: float = -math.inf) -> np.ndarray:
-    """Mask of the subsets of a (B, n, K) block that the exact SVD must see.
+def _estimates(block) -> tuple[np.ndarray, np.ndarray]:
+    """Gram estimates of the condition numbers of a (B, n, K) block, and trust flags.
 
-    The screen of the module docstring: untrusted Gram estimates, and
-    trusted ones within ``_SCREEN_BAND`` of the top trusted estimate, or of
-    ``floor``, a condition number already found, when that is larger.
+    The screen of the module docstring.  A trusted estimate is positive, an
+    untrusted one is 0.
     """
     lam = np.linalg.eigvalsh(block @ block.conj().swapaxes(1, 2))
     lo, hi = lam[:, 0], lam[:, -1]
     trusted = lo > _SCREEN_FLOOR * hi
-    need = ~trusted
-    if trusted.any():
-        est = np.sqrt(hi[trusted] / lo[trusted])
-        need[trusted] = est >= (1.0 - _SCREEN_BAND) * max(est.max(), floor)
-    return need
+    est = np.divide(hi, lo, out=np.zeros(len(lam)), where=trusted)
+    return np.sqrt(est, out=est), trusted
 
 
-def _scan(a, row: int, blocks, expand=None) -> tuple[float, tuple[int, ...], int | None, int]:
+def _needs_svd(est, trusted, floor: float = -math.inf) -> np.ndarray:
+    """Mask of the subsets of a block that the exact SVD must see: the band rule.
+
+    Untrusted estimates, and trusted ones within ``_SCREEN_BAND`` of the top
+    trusted estimate, ``est.max()``, or of ``floor``, a condition number
+    already found, when that is larger.
+    """
+    if not trusted.any():
+        return ~trusted
+    return ~trusted | (est >= (1.0 - _SCREEN_BAND) * max(est.max(), floor))
+
+
+def _scan(a, row: int, blocks, expand=None,
+          screen=None) -> tuple[float, tuple[int, ...], int | None, int]:
     """``(worst, worst_subset, examined, svd)`` over ``blocks``, (B, K) sorted subsets.
 
-    Each block of columns of ``a`` is gathered, screened by :func:`_needs_svd`
-    against the worst value so far, and its kept subsets, or those ``expand``
-    maps them to, go through the SVD in ``rng.trial_ranges`` blocks of ``row``
-    bytes a subset; ``svd`` counts them.  The lexicographically smallest
-    maximizer wins.  The scan stops at the first rank-deficient subset with
-    ``inf``, counting up to and including it (``examined`` None after
-    ``expand``: that subset has no place in scan order).
+    Each block is screened by :func:`_needs_svd` against the worst value so
+    far, on the estimates and trust flags ``screen(batch)`` gives, by default
+    :func:`_estimates` of the gathered (B, n, K) block.  Its kept subsets, or
+    those ``expand`` maps them to, go through the SVD in ``rng.trial_ranges``
+    blocks of ``row`` bytes a subset; ``svd`` counts them.  The
+    lexicographically smallest maximizer wins.  The scan stops at the first
+    rank-deficient subset with ``inf``, counting up to and including it
+    (``examined`` None after ``expand``: that subset has no place in scan
+    order).
     """
     worst, worst_subset, examined, svd = -math.inf, (), 0, 0
     for batch in blocks:
-        # named through the SVD: freed sooner, glibc trims and refaults the heap
-        block = np.moveaxis(a[:, batch], 1, 0)
-        kept = np.flatnonzero(_needs_svd(block, worst))
+        if screen is None:
+            # named through the SVD: freed sooner, glibc trims and refaults the heap
+            block = np.moveaxis(a[:, batch], 1, 0)
+            screened = _estimates(block)
+        else:
+            screened = screen(batch)
+        kept = np.flatnonzero(_needs_svd(*screened, worst))
         members = batch[kept] if expand is None or not kept.size else expand(batch[kept])
         for i, j in rng.trial_ranges(len(members), row):
             conds = condition_numbers(np.moveaxis(a[:, members[i:j]], 1, 0))
@@ -172,22 +195,38 @@ def _scan(a, row: int, blocks, expand=None) -> tuple[float, tuple[int, ...], int
     return worst, worst_subset, examined, svd
 
 
+# Subsets of a harmonic frame with N <= 64 columns as N-bit uint64 masks.
+# Column k + t is D^t times column k, D unitary diagonal, so the N rotations
+# of a mask share one exact Gram spectrum.
+def _masks(subsets) -> np.ndarray:
+    """The masks of the (B, K) subsets."""
+    return (np.uint64(1) << subsets.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def _rotations(m, N: int) -> np.ndarray:
+    """(B, N): the masks m rotated by 0, ..., N - 1 places."""
+    t, m = np.arange(N, dtype=np.uint64), m[:, None]
+    return (m << t | m >> (N - t) % N) & np.uint64(2**N - 1)
+
+
+def _columns(m, N: int, K: int) -> np.ndarray:
+    """(B, K): the subsets of the masks m, each of K bits."""
+    return np.nonzero(m[:, None] >> np.arange(N, dtype=np.uint64) & 1)[1].reshape(-1, K)
+
+
+def _distinct(r) -> np.ndarray:
+    """The sorted array r without repeats."""
+    return r[np.diff(r, prepend=~r[:1]) != 0]
+
+
 def _orbits(N: int, K: int, row: int):
     """Blocks of rotation-orbit representatives of a harmonic frame, and ``expand``.
 
-    Subsets are N-bit masks.  The least of a mask's N rotations stands for
-    its orbit.  It holds column 0, since a mask without it is even and halves
-    when rotated one place down, so only the C(N - 1, K - 1) subsets holding
-    column 0 are enumerated.  ``expand`` maps them to their distinct rotations.
+    The least of a mask's N rotations stands for its orbit.  It holds column
+    0, since a mask without it is even and halves when rotated one place
+    down, so only the C(N - 1, K - 1) subsets holding column 0 are
+    enumerated.  ``expand`` maps them to their distinct rotations.
     """
-    t, full = np.arange(N, dtype=np.uint64), np.uint64(2**N - 1)
-
-    def rot(m, s):   # masks m rotated by s places
-        return (m << s | m >> (N - s) % N) & full
-
-    def columns(m):  # (B, K): the subsets of masks m
-        return np.nonzero(m[:, None] >> t & 1)[1].reshape(-1, K)
-
     def blocks():
         with0 = math.comb(N - 1, K - 1)
         masks = map(sum, combinations([1 << i for i in range(1, N)], K - 1))
@@ -197,16 +236,45 @@ def _orbits(N: int, K: int, row: int):
         for start, stop in rng.trial_ranges(-(-with0 // N), N * (40 * (N + K) + row)):
             start, stop = start * N, min(stop * N, with0)
             m = np.fromiter(islice(masks, stop - start), np.uint64, stop - start) | 1
-            reps = columns(m[rot(m[:, None], t).min(axis=1) == m])
+            reps = _columns(m[_rotations(m, N).min(axis=1) == m], N, K)
             for lo, hi in rng.trial_ranges(len(reps), row):
                 yield reps[lo:hi]
 
     def expand(reps):
-        m = (np.uint64(1) << reps.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
-        r = np.sort(rot(m[:, None], t), axis=None)
-        return columns(r[np.diff(r, prepend=~r[:1]) != 0])
+        return _columns(_distinct(np.sort(_rotations(_masks(reps), N), axis=None)), N, K)
 
     return blocks(), expand
+
+
+class _OrbitScreen:
+    """The screen of a harmonic frame's subsets in scan order: one Gram screen per orbit.
+
+    Each subset maps to its orbit's least rotation mask.  An orbit not met
+    before is screened on the subset of that mask, so its estimate does not
+    depend on which subset met it first or on the blocks; the table, keys
+    sorted, holds every orbit's estimate and trust flag for the other subsets.
+    """
+
+    def __init__(self, a, K: int):
+        self.a, self.N, self.K = a, a.shape[1], K
+        self.keys = np.empty(0, np.uint64)
+        self.est, self.trusted = np.empty(0), np.empty(0, bool)
+
+    def __call__(self, batch) -> tuple[np.ndarray, np.ndarray]:
+        least = _rotations(_masks(batch), self.N).min(axis=1)
+        seen = _distinct(np.sort(least))
+        at = np.searchsorted(self.keys, seen)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == seen[known]
+        if not known.all():
+            new, at = seen[~known], at[~known]
+            reps = _columns(new, self.N, self.K)
+            est, trusted = _estimates(np.moveaxis(self.a[:, reps], 1, 0))
+            self.keys = np.insert(self.keys, at, new)
+            self.est = np.insert(self.est, at, est)
+            self.trusted = np.insert(self.trusted, at, trusted)
+        at = np.searchsorted(self.keys, least)
+        return self.est[at], self.trusted[at]
 
 
 def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
@@ -220,8 +288,10 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     the rows of the Philox ``SUBSETS`` stream; both modes refuse more than
     ``EXHAUSTIVE_BUDGET`` subsets.  A rank-deficient subset raises
     :class:`RankDeficient` with the refuted certificate (``worst_cond`` inf).
-    An exhaustive scan of a harmonic frame with N <= 64, so that a subset's
-    mask fits a ``uint64``, screens rotation-orbit representatives first.
+    A scan of a harmonic frame with N <= 64, so that a subset's mask fits a
+    ``uint64``, and C(N, K) within the budget takes the ``orbits`` route:
+    exhaustive mode screens rotation-orbit representatives first, sampled
+    mode screens each orbit among its draws once.
     """
     N = f.M
     if not f.n <= K <= N:
@@ -245,13 +315,15 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
                   for i, j in rng.trial_ranges(len(chunk), row))
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
-    orbits = mode == EXHAUSTIVE and N <= 64 and harmonic_rows(a) is not None
+    # subset masks fit a uint64, and a table of orbits fits the budget
+    orbits = N <= 64 and math.comb(N, K) <= EXHAUSTIVE_BUDGET and harmonic_rows(a) is not None
     worst, svd = math.inf, 0
-    if orbits:
+    if orbits and mode == EXHAUSTIVE:
         worst, worst_subset, _, svd = _scan(a, row, *_orbits(N, K, row))
         examined = count
-    if worst == math.inf:   # the generic route, or a refutation found again in order
-        worst, worst_subset, examined, generic = _scan(a, row, blocks)
+    if worst == math.inf:   # scan order, or a refutation found again in order
+        screen = _OrbitScreen(a, K) if orbits else None
+        worst, worst_subset, examined, generic = _scan(a, row, blocks, screen=screen)
         svd += generic
     cert = NerCertificate(N=N, K=K, p=1.0 - K / N, worst_cond=worst,
                           worst_subset=worst_subset, mode=mode, subsets_examined=examined,

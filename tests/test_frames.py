@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -418,6 +419,15 @@ def test_frame_json_roundtrip():
     back = Frame.from_json_dict(f.to_json_dict())
     assert np.array_equal(back.array, f.array)
     assert (back.n, back.M, back.normalization, back.kind) == (3, 9, "recon", "harmonic")
+
+
+@pytest.mark.parametrize("kind", [7, None, ["harmonic"]], ids=["number", "null", "list"])
+def test_frame_kind_must_be_a_string(kind):
+    # a Frame that could not be read back from its own file is refused when built
+    with pytest.raises(TypeError, match="kind must be a string"):
+        dataclasses.replace(harmonic_frame(2, 5), kind=kind)
+    with pytest.raises(TypeError, match="kind must be a string"):
+        Frame.from_json_dict(dict(harmonic_frame(2, 5).to_json_dict(), kind=kind))
 
 
 def test_frame_alpha():

@@ -3,6 +3,8 @@
 The generic scan, forced by making ``frames.harmonic_rows`` report no row
 set, is the oracle: on the orbit route ``worst_cond`` and ``worst_subset``
 are bit-identical to it, and so are ``subsets_examined`` and a refutation.
+Sampled scans, which screen each orbit among their draws once, are checked
+against one SVD per draw.
 """
 
 import json
@@ -27,6 +29,7 @@ from framelab import (
 )
 from framelab.cli import main
 from framelab.frames import harmonic_rows, scaled_onb_frame
+from test_robustness import BLOCK_SIZES, per_subset_scan, sampled_draws, scan_outcome
 
 # the difference-set ETFs whose certificates were checked against the generic scan
 ETF_CASES = [(7, 3, 3), (7, 3, 4), (13, 4, 8), (21, 5, 15), (21, 5, 17),
@@ -153,8 +156,8 @@ def test_frames_that_are_not_exactly_harmonic_take_the_generic_scan():
     assert cert.route == "generic"
     assert cert.worst_cond == pytest.approx(reference.worst_cond, rel=1e-12)
     assert cert.subsets_examined == reference.subsets_examined
-    # sampled mode keeps its draws and its route
-    assert worst_condition(f, 15, mode="sampled", samples=20, seed=1).route == "generic"
+    # sampled mode keeps its draws, and screens them once per orbit
+    assert worst_condition(f, 15, mode="sampled", samples=20, seed=1).route == "orbits"
 
 
 def test_a_frame_file_written_by_the_cli_takes_the_orbit_scan(tmp_path, capsys):
@@ -183,3 +186,81 @@ def test_orbit_scan_memory_is_bounded_by_the_block_rule():
         tracemalloc.stop()
     assert cert.route == "orbits"
     assert peak <= 2 * rng._BLOCK_BYTES, peak
+
+
+def permuted_etf21():
+    f = etf(21, 5)
+    perm = np.random.default_rng(5).permutation(21)
+    return Frame(n=5, M=21, vectors=DenseMatrix(f.array[:, perm]), normalization="unit")
+
+
+@pytest.mark.parametrize("make, K, route", [
+    (lambda: etf(21, 5), 15, "orbits"),
+    (lambda: etf(13, 4), 8, "orbits"),
+    (lambda: harmonic_frame(3, 40), 20, "generic"),   # C(40, 20) is over the budget
+], ids=["etf21_5", "etf13_4", "harmonic3_40"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_scan_of_harmonic_frames_equals_per_subset_scan(monkeypatch, make, K, route, seed):
+    f = make()
+    expected = per_subset_scan(f, K, "sampled", samples=1000, seed=seed)
+    for size in BLOCK_SIZES:
+        with monkeypatch.context() as mp:
+            mp.setattr(rng, "_BLOCK_TRIALS", size)
+            cert = worst_condition(f, K, mode="sampled", samples=1000, seed=seed)
+        assert (cert.worst_cond, cert.worst_subset) == expected, size
+        assert (cert.subsets_examined, cert.route) == (1000, route)
+
+
+def least_rotation(subset, N):
+    return min(tuple(sorted((c + t) % N for c in subset)) for t in range(N))
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_sampled_scan_screens_each_orbit_among_its_draws_once(monkeypatch, size):
+    draws = sampled_draws(4, 21, 15, 3000)
+    orbits = {least_rotation(s, 21) for s in draws}
+    assert len(orbits) < len(set(draws)) < len(draws)
+    rows, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: rows.append(len(g)) or eigvalsh(g))
+    cert = worst_condition(etf(21, 5), 15, mode="sampled", samples=3000, seed=4)
+    assert cert.route == "orbits"
+    assert sum(rows) == len(orbits)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_sampled_refutation_of_a_harmonic_frame_is_the_first_deficient_draw(monkeypatch, seed):
+    # columns 0 and 2, and 1 and 3, coincide: (0, 2) and (1, 3) are one orbit
+    f = harmonic_frame(2, 4, row_set=(0, 2))
+    expected = per_subset_scan(f, 2, "sampled", samples=50, seed=seed)
+    for size in BLOCK_SIZES:
+        with monkeypatch.context() as mp:
+            mp.setattr(rng, "_BLOCK_TRIALS", size)
+            assert scan_outcome(f, 2, "sampled", 50, seed) == expected, size
+    with pytest.raises(RankDeficient) as info:
+        worst_condition(f, 2, mode="sampled", samples=50, seed=seed)
+    assert info.value.certificate.route == "orbits"
+
+
+@pytest.mark.parametrize("make, K", [
+    (permuted_etf21, 15),
+    (lambda: harmonic_frame(2, 65), 3),    # a mask of 65 columns overflows a uint64
+    (lambda: harmonic_frame(3, 40), 20),   # C(40, 20) is over the budget
+], ids=["permuted-etf21_5", "N65", "over-budget"])
+def test_other_sampled_scans_take_the_generic_route(make, K):
+    f = make()
+    cert = worst_condition(f, K, mode="sampled", samples=200, seed=2)
+    assert cert.route == "generic"
+    assert (cert.worst_cond, cert.worst_subset) == per_subset_scan(f, K, "sampled", 200, 2)
+
+
+def test_a_sampled_scan_of_a_frame_file_reports_the_orbit_route(tmp_path, capsys):
+    frame, cert = tmp_path / "etf.json", tmp_path / "cert.json"
+    assert main(["construct", "--kind", "etf", "--N", "21", "--M", "5",
+                 "--out", str(frame)]) == 0
+    capsys.readouterr()
+    assert main(["ner", "--frame", str(frame), "--K", "15", "--mode", "sampled",
+                 "--samples", "500", "--seed", "1", "--json", str(cert)]) == 0
+    manifest = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert manifest["counters"]["route"] == "orbits"
+    assert b"route" not in cert.read_bytes()

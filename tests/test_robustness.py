@@ -499,7 +499,7 @@ def test_screen_tops_trusted_estimates_only():
     assert 1 / math.sqrt(robustness._SCREEN_FLOOR) < conds[(0, 2)]
     block = np.moveaxis(f.array[:, np.array([(0, 1), (0, 2), (1, 2)])], 1, 0)
     # the untrusted estimate is larger, yet the trusted top still goes to the SVD
-    assert robustness._needs_svd(block).tolist() == [True, True, False]
+    assert robustness._needs_svd(*robustness._estimates(block)).tolist() == [True, True, False]
     for size in BLOCK_SIZES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rng, "_BLOCK_TRIALS", size)
