@@ -24,9 +24,10 @@ One writer, ``_json_bytes``, makes every JSON output file, and its bytes are
 ``json.dumps(doc, sort_keys=True, allow_nan=False, indent=2) + "\\n"``.  With
 an indent ``json`` falls back to its pure-Python encoder, so a NumPy array in
 ``doc`` (a frame's matrix entries, from ``Frame.json_fields``) skips it: the
-small skeleton is dumped with a placeholder string where the array was, and
-the array, after a vectorized finite check, is rendered by one ``%`` into a
-layout of the same separators, each distinct float rendered once.
+encoder's ``default`` hook dumps a placeholder string where the array is, and
+each placeholder is then replaced by its array, which after a vectorized
+finite check is rendered by one ``%`` into a layout of the same separators,
+each distinct float rendered once.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
@@ -303,57 +304,51 @@ def _dumps(obj, **kwargs) -> str:
         raise NonFiniteEntry(f"non-finite value in JSON output: {exc}") from exc
 
 
-_SLOT = "\0array {}"   # stands in for the i-th ndarray while the skeleton is dumped
+_SLOT = "\0array {}"   # stands in for the i-th ndarray while the document is dumped
 
 
 def _json_bytes(doc) -> bytes:
     """The output file of ``doc``, an ndarray anywhere in it standing for its ``tolist()``.
 
     The bytes are ``json.dumps(doc, sort_keys=True, allow_nan=False, indent=2)
-    + "\\n"``.  Each float64 ndarray is rendered by :func:`_render_array` and
-    spliced in where its slot string lies in the dumped skeleton.  The pieces
-    are dropped before the joined text is encoded, so at most two copies of
-    the text (the 4.7 MB of harmonic(16, 4096)) are alive at once, not three.
+    + "\\n"``.  The encoder's ``default`` hook records each value it cannot
+    encode and dumps its slot string in its place.  Each slot, last first so
+    that the text before it is still as dumped, is then replaced by the array
+    as :func:`_render_array` renders it at the depth of the slot's line.  At
+    most two copies of the text (the 4.7 MB of harmonic(16, 4096)) are alive
+    at once.
     """
     arrays: list = []
-    skeleton = _dumps(_skeleton(doc, arrays), indent=2)
-    slots = [json.dumps(_SLOT.format(i)) for i in range(len(arrays))]
-    pieces, done = [], 0
-    for at, i in sorted((skeleton.index(slot), i) for i, slot in enumerate(slots)):
-        line = skeleton[skeleton.rfind("\n", 0, at) + 1:at]
-        depth = (len(line) - len(line.lstrip(" "))) // 2
-        pieces += [skeleton[done:at], _render_array(arrays[i], depth)]
-        done = at + len(slots[i])
-    pieces += [skeleton[done:], "\n"]
-    text = "".join(pieces)
-    del pieces
-    return text.encode()
 
-
-def _skeleton(obj, arrays: list):
-    """``obj`` with each ndarray appended to ``arrays`` and replaced by its slot."""
-    if isinstance(obj, np.ndarray):
-        arrays.append(obj)
+    def slot(a):
+        arrays.append(a)
         return _SLOT.format(len(arrays) - 1)
-    if isinstance(obj, dict):
-        return {key: _skeleton(value, arrays) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_skeleton(value, arrays) for value in obj]
-    return obj
+
+    text = _dumps(doc, indent=2, default=slot) + "\n"
+    for i in reversed(range(len(arrays))):
+        placeholder = json.dumps(_SLOT.format(i))
+        line = text[:text.index(placeholder)].rsplit("\n", 1)[-1]
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        text = text.replace(placeholder, _render_array(arrays[i], depth), 1)
+    return text.encode()
 
 
 def _render_array(a: np.ndarray, depth: int) -> str:
     """``json.dumps(a.tolist(), indent=2)`` nested ``depth`` levels deep.
 
-    ``json`` writes a float as its ``float.__repr__``.  Each distinct bit
-    pattern is rendered once: an argsort of the ``uint64`` view groups equal
-    entries (``np.unique`` on the floats would merge -0.0 into 0.0), and the
-    strings are gathered back to entry order.  harmonic(16, 4096) holds
-    40,271 patterns in 131,072 entries.  One ``%`` fills a layout of the
-    ``indent=2`` separators with them.
+    Only a float64 ndarray is rendered; any other value raises ``TypeError``,
+    as ``json`` does.  ``json`` writes a float as its ``float.__repr__``.
+    Each distinct bit pattern is rendered once: an argsort of the ``uint64``
+    view groups equal entries (``np.unique`` on the floats would merge -0.0
+    into 0.0), and the strings are gathered back to entry order.
+    harmonic(16, 4096) holds 40,271 patterns in 131,072 entries.  One ``%``
+    fills a layout of the ``indent=2`` separators with them.  ``np.unique``
+    of the view groups them alike, but made perfbench ``pipeline`` slower
+    on a shared 2-vCPU host: its ``erasure_h16x4096`` job, which runs after
+    the frame writes, took 12-16 ms more, though peak RSS fell by 2.4 MB.
     """
-    if a.dtype != np.float64:
-        raise TypeError(f"only float64 arrays are written, got {a.dtype}")
+    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+        raise TypeError(f"only float64 arrays are written, got {getattr(a, 'dtype', type(a))}")
     if not np.isfinite(a).all():
         raise NonFiniteEntry("non-finite value in JSON output")
     bits = a.reshape(-1).view(np.uint64)

@@ -36,7 +36,7 @@ from . import rng
 from .errors import (BudgetExceeded, IllConditioned, OutOfRange, RankDeficient,
                      ShapeMismatch, Singular)
 from .linalg import as_array, condition_number, operator_norms
-from .inequalities import exact_sign_expectation
+from .inequalities import _stack, exact_sign_expectation
 
 RADEMACHER = "rademacher"
 UNIFORM = "uniform"
@@ -57,7 +57,7 @@ def _family_stack(U) -> np.ndarray:
     if isinstance(U, np.ndarray) and U.ndim == 3:
         stack = U
     else:
-        stack = np.stack([as_array(u) for u in U])
+        stack = _stack([as_array(u) for u in U])
     count, r, c = stack.shape
     if not (count == r == c):
         raise ShapeMismatch(
@@ -214,8 +214,8 @@ def contraction_check(summands, x, b: float) -> ContractionReport:
     ``inequalities.exact_sign_expectation``, which enumerates the sign
     patterns in blocks and takes each block's norms in one batched call.
     """
-    arrays = [np.asarray(f) for f in summands]
-    count = len(arrays)
+    stack = _stack(summands)
+    count = len(stack)
     if count > _CONTRACTION_LIMIT:
         raise BudgetExceeded(f"contraction check limited to count <= {_CONTRACTION_LIMIT}")
     x = np.asarray(x, dtype=np.float64)
@@ -223,9 +223,9 @@ def contraction_check(summands, x, b: float) -> ContractionReport:
         raise ShapeMismatch(f"coefficients have shape {x.shape}, expected ({count},)")
     if not b > 0 or np.any(np.abs(x) > b * (1 + 1e-15)):
         raise OutOfRange("need |x_k| <= b with b > 0")
-    norm = (lambda s: np.linalg.norm(s, axis=-1)) if arrays[0].ndim == 1 else operator_norms
-    lhs = exact_sign_expectation([xk * f for xk, f in zip(x, arrays)], norm)
-    rhs = b * exact_sign_expectation(arrays, norm)
+    norm = (lambda s: np.linalg.norm(s, axis=-1)) if stack.ndim == 2 else operator_norms
+    lhs = exact_sign_expectation([xk * f for xk, f in zip(x, stack)], norm)
+    rhs = b * exact_sign_expectation(stack, norm)
     return ContractionReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1 + 1e-12)))
 
 

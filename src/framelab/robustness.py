@@ -147,11 +147,9 @@ def _needs_svd(est, trusted, floor: float = -math.inf) -> np.ndarray:
     """Mask of the subsets of a block that the exact SVD must see: the band rule.
 
     Untrusted estimates, and trusted ones within ``_SCREEN_BAND`` of the top
-    trusted estimate, ``est.max()``, or of ``floor``, a condition number
-    already found, when that is larger.
+    trusted estimate, ``est.max()`` (an untrusted estimate is 0), or of
+    ``floor``, a condition number already found, when that is larger.
     """
-    if not trusted.any():
-        return ~trusted
     return ~trusted | (est >= (1.0 - _SCREEN_BAND) * max(est.max(), floor))
 
 
@@ -291,7 +289,10 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     A scan of a harmonic frame with N <= 64, so that a subset's mask fits a
     ``uint64``, and C(N, K) within the budget takes the ``orbits`` route:
     exhaustive mode screens rotation-orbit representatives first, sampled
-    mode screens each orbit among its draws once.
+    mode screens each orbit among its draws once.  A sampled scan runs as
+    asked even where the exhaustive one is admitted, though on this route
+    that one is exact and may cost less: ETF(21, 5) at K = 15 takes about
+    30 ms exhaustively and 38 ms for 20,000 draws (one BLAS thread).
     """
     N = f.M
     if not f.n <= K <= N:

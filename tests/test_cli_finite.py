@@ -399,11 +399,17 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
       "--json"), "params.samples"),
     (("khintchine", "--m", 2, "--count", 3, "--dim", 2, "--seed", 1, "--exact",
       "--trials", -7, "--json"), "params.trials"),
+    # sampled mode needs a sample count, and a file family its file
+    (("ner", "--frame", "etf7.json", "--K", 5, "--mode", "sampled", "--seed", 1, "--json"),
+     "params.samples"),
+    (("probe", "--n", 3, "--family", "file", "--trials", 5, "--seed", 1, "--json"),
+     "params.family_file"),
 ], ids=["m-31", "m-0", "exact-count-21", "copies-0", "copies-0-harmonic", "harmonic-n-0",
         "onb-n-0", "harmonic-M-below-n", "real-harmonic-M-n", "sweep-M-below-n",
         "cond-limit-0", "cond-limit-negative", "family-file-circulant", "harmonic-no-M",
         "harmonic-no-n", "etf-no-M", "etf-no-N", "onb-no-n", "samples-negative",
-        "samples-above-budget", "trials-negative"])
+        "samples-above-budget", "trials-negative", "sampled-no-samples",
+        "family-file-missing"])
 def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     out = tmp_path / "out.json"
     code, result = run_cli(capsys, *argv, out)
@@ -411,6 +417,46 @@ def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     assert result["error"] == "ConfigInvalid"
     assert result["field"] == field
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (("construct", "--kind", "harmonic", "--n", 2, "--M", 4), None, "output"),
+    (("stirling",), [], ""),
+    (("stirling",), {"output": 5}, "output"),
+], ids=["construct-no-out", "config-list", "config-output-number"])
+def test_config_refusals_name_their_field(tmp_path, capsys, argv, config, field):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ("--config", path)
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2
+    assert (doc["error"], doc["field"]) == ("ConfigInvalid", field)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["cfg.json"])
+
+
+def test_validate_refuses_a_config_that_is_not_an_object():
+    with pytest.raises(ConfigInvalid) as exc:
+        validate([])
+    assert exc.value.field == ""
+
+
+@pytest.mark.parametrize("value", [{1, 2}, np.int64(3), np.array([1, 2]), np.ones(2, np.float32)],
+                         ids=["set", "int64", "int-array", "float32-array"])
+def test_output_values_other_than_float64_arrays_raise_type_error(value):
+    # json's own default hook raises TypeError too
+    with pytest.raises(TypeError):
+        cli._json_bytes({"a": [1.5, value, np.zeros(2)]})
+
+
+def test_output_path_that_is_a_directory_exits_2_without_a_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    code, doc = run_cli(capsys, "stirling", "--m-max", 3, "--json", out)
+    assert code == 2
+    assert (doc["error"], doc["field"]) == ("ConfigInvalid", "output")
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
 
 
 def test_monte_carlo_khintchine_count_has_no_enumeration_cap(tmp_path, capsys):

@@ -16,6 +16,7 @@ from framelab import (
     deterministic_unit_vector,
     exact_error_expectation,
     harmonic_frame,
+    regroup,
     worst_condition,
 )
 from framelab.erasure import analysis_coefficients
@@ -36,6 +37,9 @@ KEPT = {"FramelabError", "ConfigInvalid", "NonFiniteEntry", "RankDeficient", "Sh
     (ShapeMismatch, {
         "analysis x": lambda: analysis_coefficients(harmonic_frame(2, 4), np.ones(3)),
         "dictionary x": lambda: build_dictionary(circulant_dictionary(2), np.ones(3)),
+        "empty family": lambda: regroup([]),
+        "family of two shapes": lambda: regroup([np.eye(2), np.eye(3)]),
+        "no summands": lambda: contraction_check([], np.zeros(0), 1.0),
     }),
     (BudgetExceeded, {
         "exact masks": lambda: exact_error_expectation(

@@ -513,6 +513,13 @@ def test_screen_tops_trusted_estimates_only():
     assert (cert.worst_cond, cert.worst_subset) == per_subset_scan(g, 2)
     assert cert.worst_subset == (0, 1)
     assert cert.worst_cond == subset_condition(g, (0, 1))
+    # a block of untrusted estimates only goes to the SVD whole, below any floor
+    h = unit_vectors_at(np.array([0.0, 1e-4, -1e-4]))
+    block = np.moveaxis(h.array[:, np.array([(0, 1), (0, 2), (1, 2)])], 1, 0)
+    est, trusted = robustness._estimates(block)
+    assert not trusted.any() and not est.any()
+    for floor in (-math.inf, 0.0, 5.0, 1e300):
+        assert robustness._needs_svd(est, trusted, floor).tolist() == [True, True, True]
 
 
 def test_screen_is_floored_at_the_worst_value_found_in_earlier_blocks(monkeypatch):
