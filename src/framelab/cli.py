@@ -43,7 +43,6 @@ import operator
 import os
 import platform
 import sys
-import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -273,25 +272,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _write_atomic(path: str, data: bytes) -> str:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framelab-")
+    # "x" opens with O_EXCL: it clobbers no file and follows no symlink, and
+    # open() itself gives the file 0666 & ~umask
+    tmp = os.path.join(directory, f".framelab-{os.urandom(8).hex()}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
     return hashlib.sha256(data).hexdigest()
 

@@ -18,9 +18,11 @@ column subsets of a robustness scan.
 
 A Monte Carlo call allocates its scratch once, not once per block: one
 Philox stream, advanced by each block's draw, and one buffer of uniforms,
-whose rows are valid only until the kernel returns.  Kernels keep their own
-scratch in ``block_buffer``s the same way, in per-call closures.  The first
-block of ``trial_ranges`` is its largest, so it sizes every buffer.
+whose rows are valid only until the kernel returns.  Until then they are the
+kernel's scratch: it may overwrite them, as the erasure kernel writes its
+masks over them.  Kernels keep their other scratch in ``block_buffer``s the
+same way, in per-call closures.  The first block of ``trial_ranges`` is its
+largest, so it sizes every buffer.
 
 Sampled column subsets read the Philox stream too: subset s is row s of
 the ``SUBSETS`` stream, K uniforms u, fed to Floyd's algorithm (Bentley and
@@ -172,8 +174,9 @@ def mc_values(seed, domain, trials, width, row_bytes, kernel, min_trials=1) -> n
     ``kernel`` maps the (B, width) uniforms of a block's trials [start,
     stop), ``uniforms(seed, domain, start, stop, width)``, to their B values.
     The rows live in one buffer that the next block overwrites: they are
-    valid only until the kernel returns.  The kernel needs ``row_bytes`` of
-    scratch per trial, on top of the draw's own, which is counted as
+    valid only until the kernel returns, and until then they are the
+    kernel's scratch, which it may overwrite.  The kernel needs ``row_bytes``
+    of scratch per trial, on top of the draw's own, which is counted as
     3 width + 3 words and holds the raw words (at most width + 3, shifted in
     place) and the uniforms.
     """

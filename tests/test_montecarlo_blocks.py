@@ -88,20 +88,26 @@ def test_block_draw_equals_single_trial_draws(width):
 
 @pytest.mark.parametrize("width", [1, 3, 5, 4096])
 def test_kernel_sees_the_uniforms_of_its_block(block, width):
-    seen = []
+    # the rows are scratch until the kernel returns: a kernel that writes
+    # over them, as the erasure kernel does, leaves the next block's intact
+    for overwrite in (False, True):
+        seen = []
 
-    def kernel(u):
-        seen.append(u.copy())
-        return u[:, 0]
+        def kernel(u):
+            seen.append(u.copy())
+            first = u[:, 0].copy()
+            if overwrite:
+                u[...] = np.nan
+            return first
 
-    values = rng.mc_values(9, rng.SIGNS, 600, width, 8 * width, kernel)
-    assert len(seen) >= 600 // block
-    start = 0
-    for u in seen:
-        assert np.array_equal(u, rng.uniforms(9, rng.SIGNS, start, start + len(u), width))
-        start += len(u)
-    assert start == 600
-    assert np.array_equal(values, rng.uniforms(9, rng.SIGNS, 0, 600, width)[:, 0])
+        values = rng.mc_values(9, rng.SIGNS, 600, width, 8 * width, kernel)
+        assert len(seen) >= 600 // block
+        start = 0
+        for u in seen:
+            assert np.array_equal(u, rng.uniforms(9, rng.SIGNS, start, start + len(u), width))
+            start += len(u)
+        assert start == 600
+        assert np.array_equal(values, rng.uniforms(9, rng.SIGNS, 0, 600, width)[:, 0])
 
 
 def test_blocks_of_a_call_share_one_buffer_of_uniforms(block):
@@ -164,14 +170,19 @@ def test_erasure_matches_per_trial_loop(block, n, M, keep_prob):
 
 
 def test_erasure_bit_identical_across_block_sizes(monkeypatch):
-    for n, M, keep_prob in [(4, 16, 0.5), (4, 16, 0.3), (4, 16, 1.0), (3, 7, 0.5)]:
-        f = harmonic_frame(n, M)
+    # at M = 4096 and M = 1024 the byte rule, not _BLOCK_TRIALS, cuts the
+    # largest blocks (42 and 168 trials), so the trial counts exceed them
+    for n, M, real, keep_prob, trials in [
+            (4, 16, False, 0.5, 50), (4, 16, False, 0.3, 50), (4, 16, False, 1.0, 50),
+            (3, 7, False, 0.5, 50), (16, 4096, False, 0.5, 100), (16, 4096, False, 0.3, 100),
+            (16, 1024, True, 0.5, 200), (16, 1024, True, 0.3, 200)]:
+        f = harmonic_frame(n, M, real=real)
         x = deterministic_unit_vector(n, 5)
         runs = []
         for size in BLOCKS:
             monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
-            runs.append(per_trial_errors(f, x, 50, 9, keep_prob))
-        assert all(np.array_equal(runs[0], other) for other in runs[1:]), (M, keep_prob)
+            runs.append(per_trial_errors(f, x, trials, 9, keep_prob))
+        assert all(np.array_equal(runs[0], other) for other in runs[1:]), (M, real, keep_prob)
 
 
 def test_rudelson_matches_per_trial_loop(block):
@@ -309,7 +320,7 @@ def test_pattern_values_bit_identical_across_block_sizes(monkeypatch):
     runs, means = [], []
     for size in BLOCKS:
         monkeypatch.setattr(rng, "_BLOCK_TRIALS", size)
-        runs.append(rng.pattern_values(f.M, 32 * f.n, _error_kernel(f, x, 0.5)))
+        runs.append(rng.pattern_values(f.M, 16 * f.n, _error_kernel(f, x, 0.5)))
         means.append(exact_error_expectation(f, x))
     assert all(np.array_equal(runs[0], other) for other in runs[1:])
     assert len(set(means)) == 1
@@ -326,7 +337,7 @@ def test_meet_in_the_middle_matches_the_mask_kernel(M, real, input_kind):
         x = x + 1j * deterministic_unit_vector(n, M + 1)
     elif input_kind == "zero":
         x = np.zeros(n)
-    want = float(np.mean(rng.pattern_values(M, 32 * n, _error_kernel(f, x, 0.5))))
+    want = float(np.mean(rng.pattern_values(M, 16 * n, _error_kernel(f, x, 0.5))))
     assert exact_error_expectation(f, x) == pytest.approx(want, rel=1e-13)
 
 

@@ -179,18 +179,29 @@ def test_nonfinite_frame_exits_3_without_output(tmp_path, capsys, monkeypatch, v
     assert list(tmp_path.iterdir()) == []
 
 
-def test_output_files_take_the_umask_mode(tmp_path, capsys):
-    # the file is written to a temporary name (mkstemp, mode 0600) and moved
-    # into place; both a new and a rewritten output get 0666 & ~umask
+def test_output_files_take_the_umask_mode(tmp_path, capsys, monkeypatch):
+    # the file is written to a temporary name and moved into place; both a
+    # new and a rewritten output get 0666 & ~umask from open() itself, so the
+    # writer never sets the process umask, which another thread would see
     out = tmp_path / "frame.json"
     argv = ["construct", "--kind", "harmonic", "--n", "2", "--M", "4", "--out", str(out)]
-    old = os.umask(0o022)
-    try:
-        assert main(argv) == 0
-        new_mode = stat.S_IMODE(out.stat().st_mode)
-        assert main(argv) == 0
-        rewritten_mode = stat.S_IMODE(out.stat().st_mode)
-    finally:
-        os.umask(old)
+    umask = os.umask
+
+    def refuse(mask):
+        raise AssertionError("the writer set the process umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    modes = []
+    for mask in (0o022, 0o027):
+        old = umask(mask)
+        try:
+            out.unlink(missing_ok=True)
+            assert main(argv) == 0
+            modes.append(stat.S_IMODE(out.stat().st_mode))
+            assert main(argv) == 0
+            modes.append(stat.S_IMODE(out.stat().st_mode))
+        finally:
+            umask(old)
     capsys.readouterr()
-    assert (new_mode, rewritten_mode) == (0o644, 0o644)
+    assert modes == [0o644, 0o644, 0o640, 0o640]
+    assert [p.name for p in tmp_path.iterdir()] == ["frame.json"]
