@@ -65,7 +65,7 @@ from .frames import (
 )
 from .erasure import (ErasureTrialReport, deterministic_unit_vector, mc_error_estimate,
                       redundancy_sweep)
-from .robustness import EXHAUSTIVE, EXHAUSTIVE_BUDGET, SAMPLED, certify, worst_condition
+from .robustness import EXHAUSTIVE, SAMPLED, certify, worst_condition
 from .inequalities import (
     SignEnsemble,
     khintchine_check,
@@ -564,7 +564,7 @@ def _run_stirling(cfg: ExperimentConfig, files: dict):
 # --------------------------------------------------------------------------
 
 _FRAME = Param("frame", "str", required=True, load=Frame.from_json_dict)
-_TRIALS = Param("trials", "int", required=True, ge=1)
+_TRIALS = Param("trials", "int", required=True, ge=1, le=rng.DRAW_LIMIT)
 _KEEP_PROB = Param("keep_prob", "float", default=0.5, gt=0.0, le=1.0)
 
 _COMMANDS: dict[str, Command] = {
@@ -589,7 +589,7 @@ _COMMANDS: dict[str, Command] = {
         _FRAME,
         Param("K", "int", required=True, ge=1),
         Param("mode", "str", default=EXHAUSTIVE, choices=(EXHAUSTIVE, SAMPLED)),
-        Param("samples", "int", default=0, ge=0, le=EXHAUSTIVE_BUDGET),
+        Param("samples", "int", default=0, ge=0, le=rng.DRAW_LIMIT),
         Param("C", "float", ge=1),
     ), "--json", output_required=True, seeded=False, runner=_run_ner),
     "rudelson": Command((_FRAME, _TRIALS),
@@ -599,7 +599,7 @@ _COMMANDS: dict[str, Command] = {
         Param("m", "int", required=True, ge=1, le=30),
         Param("count", "int", required=True, ge=1),
         Param("dim", "int", required=True, ge=1),
-        Param("trials", "int", default=0, ge=0),
+        Param("trials", "int", default=0, ge=0, le=rng.DRAW_LIMIT),
         Param("exact", "bool", default=False),
     ), "--json", output_required=False, seeded=True, runner=_run_khintchine),
     "probe": Command((

@@ -174,8 +174,6 @@ def per_trial_errors(f: Frame, x, trials: int, seed: int,
     """Reconstruction error of each trial; trial t reads row t of the MASK stream."""
     if f.n < 2:
         raise OutOfRange(f"need n >= 2 so that ln(n) > 0, got n = {f.n}")
-    if trials < 1:
-        raise OutOfRange(f"trials must be >= 1, got {trials}")
     if not 0.0 < keep_prob <= 1.0:
         raise OutOfRange(f"keep_prob must be in (0, 1], got {keep_prob}")
     kernel = _error_kernel(f, x, keep_prob)

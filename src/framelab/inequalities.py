@@ -62,7 +62,11 @@ from .linalg import _finite_stack, as_array, operator_norm, operator_norms
 
 @dataclass(frozen=True)
 class SignEnsemble:
-    """How to average over sign patterns: exact enumeration or seeded MC."""
+    """How to average over sign patterns: exact enumeration or seeded MC.
+
+    ``trials`` is checked where the Monte Carlo estimate draws them, by
+    ``rng.mc_values``.
+    """
 
     count: int
     exact: bool = False
@@ -72,13 +76,10 @@ class SignEnsemble:
     def __post_init__(self):
         if self.count < 1:
             raise OutOfRange("count must be >= 1")
-        if self.exact:
-            if self.count > rng.ENUM_LIMIT:
-                raise BudgetExceeded(
-                    f"exact enumeration limited to count <= {rng.ENUM_LIMIT}, got {self.count}"
-                )
-        elif self.trials < 1:
-            raise OutOfRange("Monte Carlo mode needs trials >= 1")
+        if self.exact and self.count > rng.ENUM_LIMIT:
+            raise BudgetExceeded(
+                f"exact enumeration limited to count <= {rng.ENUM_LIMIT}, got {self.count}"
+            )
 
 
 def _sign_average(ensemble: SignEnsemble, row_bytes: int, kernel):

@@ -170,8 +170,6 @@ def concentration_estimate(T, distribution: str, trials: int,
             f"distribution must be one of {sorted((RADEMACHER, UNIFORM))}, "
             f"got {distribution!r}"
         )
-    if trials < 1:
-        raise OutOfRange("trials must be >= 1")
     stack = _family_stack(T)
     n = stack.shape[0]
     if n < 2:

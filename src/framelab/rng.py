@@ -16,6 +16,10 @@ uniforms, ``pattern_values`` the 0/1 rows of all 2^width patterns.  Its
 block rule, ``trial_ranges``, also cuts the isometry check's family and the
 column subsets of a robustness scan.
 
+The engine refuses counts: ``mc_values`` and ``subset_blocks`` raise
+``OutOfRange`` for fewer than one draw and ``BudgetExceeded`` for more than
+``DRAW_LIMIT``, before any draw or allocation, so no caller checks its count.
+
 A Monte Carlo call allocates its scratch once, not once per block: one
 Philox stream, advanced by each block's draw, and one buffer of uniforms,
 whose rows are valid only until the kernel returns.  Until then they are the
@@ -40,6 +44,8 @@ vectorized chunk at a time, with one Python loop over the K columns.
 import math
 
 import numpy as np
+
+from .errors import BudgetExceeded, OutOfRange
 
 # Values are frozen: changing the Philox key, addressing or conversion changes
 # every Monte Carlo output, and must bump this version and the package's.
@@ -69,6 +75,10 @@ _BLOCK_BYTES = 1 << 22
 # Longest pattern (mask length, sign count) that is enumerated exactly.
 ENUM_LIMIT = 20
 
+# Most rows (Monte Carlo trials, sampled subsets) one call draws, the cap an
+# exhaustive robustness scan puts on its subsets.
+DRAW_LIMIT = 10**6
+
 
 def substream(seed, domain, index=0):
     """Return a fresh ``numpy.random.Generator`` keyed by (seed, domain, index)."""
@@ -82,23 +92,31 @@ def _philox_key(seed, domain) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
-def _draw(bitgen, stride, out) -> np.ndarray:
+def _draws(count) -> int:
+    """``count``, refused below 1 or above ``DRAW_LIMIT``."""
+    if count < 1:
+        raise OutOfRange(f"need at least 1 draw, got {count}")
+    if count > DRAW_LIMIT:
+        raise BudgetExceeded(f"{count} draws exceeds budget {DRAW_LIMIT}")
+    return count
+
+
+def _draw(bitgen, out) -> np.ndarray:
     """Fill ``out`` with the uniforms of the stream's next len(out) trials.
 
-    Each trial takes ``stride`` counters, four words each, and keeps the
-    first out.shape[1] words w as (w >> 11) 2^-53.
+    Each trial takes ceil(out.shape[1] / 4) counters, four words each, and
+    keeps the first out.shape[1] words w as (w >> 11) 2^-53.
     """
-    raw = bitgen.random_raw((len(out), 4 * stride))
+    raw = bitgen.random_raw((len(out), 4 * -(-out.shape[1] // 4)))
     raw >>= 11
     return np.multiply(raw[:, :out.shape[1]], 2.0**-53, out=out)
 
 
 def uniforms(seed, domain, start, stop, width) -> np.ndarray:
     """(stop - start, width) uniforms in [0, 1) of trials [start, stop)."""
-    stride = -(-width // 4)   # counters per trial; each yields four words
     bitgen = np.random.Philox(key=_philox_key(seed, domain))
-    bitgen.advance(start * stride)
-    return _draw(bitgen, stride, np.empty((stop - start, width)))
+    bitgen.advance(start * -(-width // 4))   # ceil(width / 4) counters a trial
+    return _draw(bitgen, np.empty((stop - start, width)))
 
 
 def block_buffer(shape, dtype=np.float64):
@@ -137,27 +155,32 @@ def trial_ranges(trials, row_bytes, min_trials=1):
     return [(start, min(start + step, trials)) for start in range(0, trials, step)]
 
 
-def subset_blocks(seed, N, K, samples):
+def subset_blocks(seed, N, K, samples, row_bytes):
     """Sorted (B, K) blocks of ``samples`` uniform K-subsets of range(N).
 
     Subset s is Floyd's pick from row s of the ``SUBSETS`` stream (see the
     module docstring), so it does not depend on how the blocks are cut.  The
-    blocks are those of ``trial_ranges`` for the draw's own scratch; a caller
-    with a larger row cuts them further.
+    consumer needs ``row_bytes`` of scratch per subset, on top of the draw's
+    own: the raw words, uniforms and picks, a subset's mask, and its sorted
+    row.  The count is checked at the call, the draws are made as the blocks
+    are taken.
     """
     bitgen, rows = np.random.Philox(key=_philox_key(seed, SUBSETS)), block_buffer((K,))
-    stride, spans = -(-K // 4), np.arange(N - K + 1, N + 1)
-    # the raw words, uniforms and picks, a subset's mask, and its sorted row
-    for start, stop in trial_ranges(samples, 40 * K + N):
-        u = _draw(bitgen, stride, rows(stop - start))
-        u *= spans
-        base = np.arange(stop - start)[:, None] * N
-        picks = u.astype(np.intp) + base
-        kept = np.zeros((stop - start) * N, bool)
-        for c, j in enumerate(range(N - K, N)):
-            x = picks[:, c]
-            kept[np.where(kept[x], base[:, 0] + j, x)] = True
-        yield np.flatnonzero(kept).reshape(-1, K) - base
+    return (_floyd(_draw(bitgen, rows(stop - start)), N)
+            for start, stop in trial_ranges(_draws(samples), row_bytes + 40 * K + N))
+
+
+def _floyd(u, N) -> np.ndarray:
+    """Sorted Floyd picks from the (B, K) uniforms ``u``, which it overwrites."""
+    B, K = u.shape
+    u *= np.arange(N - K + 1, N + 1)
+    base = np.arange(B)[:, None] * N
+    picks = u.astype(np.intp) + base
+    kept = np.zeros(B * N, bool)
+    for c, j in enumerate(range(N - K, N)):
+        x = picks[:, c]
+        kept[np.where(kept[x], base[:, 0] + j, x)] = True
+    return np.flatnonzero(kept).reshape(-1, K) - base
 
 
 def _block_values(count, row_bytes, rows, kernel, min_trials=1) -> np.ndarray:
@@ -178,12 +201,13 @@ def mc_values(seed, domain, trials, width, row_bytes, kernel, min_trials=1) -> n
     kernel's scratch, which it may overwrite.  The kernel needs ``row_bytes``
     of scratch per trial, on top of the draw's own, which is counted as
     3 width + 3 words and holds the raw words (at most width + 3, shifted in
-    place) and the uniforms.
+    place) and the uniforms.  ``trials`` is refused below 1 or above
+    ``DRAW_LIMIT`` before anything is drawn or allocated.
     """
+    _draws(trials)
     bitgen, rows = np.random.Philox(key=_philox_key(seed, domain)), block_buffer((width,))
-    stride = -(-width // 4)
     return _block_values(trials, row_bytes + 8 * (3 * width + 3), lambda start, stop:
-                         _draw(bitgen, stride, rows(stop - start)), kernel, min_trials)
+                         _draw(bitgen, rows(stop - start)), kernel, min_trials)
 
 
 def pattern_values(width, row_bytes, kernel) -> np.ndarray:

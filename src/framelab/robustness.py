@@ -283,9 +283,11 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     (the reported worst subset is the lexicographically smallest maximizer);
     sampled mode takes the max over ``samples`` uniform subsets, a lower
     bound on the true worst case, drawn by :func:`rng.subset_blocks` from
-    the rows of the Philox ``SUBSETS`` stream; both modes refuse more than
-    ``EXHAUSTIVE_BUDGET`` subsets.  A rank-deficient subset raises
-    :class:`RankDeficient` with the refuted certificate (``worst_cond`` inf).
+    the rows of the Philox ``SUBSETS`` stream.  Exhaustive mode refuses more
+    than ``EXHAUSTIVE_BUDGET`` subsets, and sampled mode, through
+    ``rng.subset_blocks``, fewer than 1 or more than ``rng.DRAW_LIMIT``
+    samples.  A rank-deficient subset raises :class:`RankDeficient` with the
+    refuted certificate (``worst_cond`` inf).
     A scan of a harmonic frame with N <= 64, so that a subset's mask fits a
     ``uint64``, and C(N, K) within the budget takes the ``orbits`` route:
     exhaustive mode screens rotation-orbit representatives first, sampled
@@ -293,6 +295,12 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
     asked even where the exhaustive one is admitted, though on this route
     that one is exact and may cost less: ETF(21, 5) at K = 15 takes about
     30 ms exhaustively and 38 ms for 20,000 draws (one BLAS thread).
+    A frame is harmonic only if its entries are bit for bit those of
+    ``harmonic_frame``: a recon-normalized ETF, which ``construct --kind etf
+    --normalization recon`` rescales from the unit one, takes the ``generic``
+    route with the same certificate, at ETF(21, 5) and K = 17 in about four
+    times the unit frame's time (62 ms against 14 ms, one run each, one BLAS
+    thread).
     """
     N = f.M
     if not f.n <= K <= N:
@@ -307,13 +315,7 @@ def worst_condition(f: Frame, K: int, mode: str = EXHAUSTIVE,
         blocks = (np.array(list(islice(subsets, stop - start)))
                   for start, stop in rng.trial_ranges(count, row))
     elif mode == SAMPLED:
-        if samples < 1:
-            raise OutOfRange("sampled mode needs samples >= 1")
-        if samples > EXHAUSTIVE_BUDGET:
-            raise BudgetExceeded(f"{samples} samples exceeds budget {EXHAUSTIVE_BUDGET}")
-        count = samples
-        blocks = (chunk[i:j] for chunk in rng.subset_blocks(seed, N, K, samples)
-                  for i, j in rng.trial_ranges(len(chunk), row))
+        blocks = rng.subset_blocks(seed, N, K, samples, row)
     else:
         raise OutOfRange(f"unknown mode {mode!r}")
     # subset masks fit a uint64, and a table of orbits fits the budget

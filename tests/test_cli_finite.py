@@ -1,6 +1,7 @@
 """CLI exit contract for non-finite and malformed input, and the work counters."""
 
 import json
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -399,6 +400,16 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
       "--json"), "params.samples"),
     (("khintchine", "--m", 2, "--count", 3, "--dim", 2, "--seed", 1, "--exact",
       "--trials", -7, "--json"), "params.trials"),
+    # no Monte Carlo command draws more than rng.DRAW_LIMIT trials
+    (("erasure", "--frame", "etf7.json", "--trials", 10**12, "--seed", 1, "--csv"),
+     "params.trials"),
+    (("sweep", "--n", 4, "--M-list", "8", "--trials", 10**12, "--seed", 1, "--csv"),
+     "params.trials"),
+    (("rudelson", "--frame", "etf7.json", "--trials", 10**12, "--seed", 1, "--json"),
+     "params.trials"),
+    (("khintchine", "--m", 2, "--count", 3, "--dim", 2, "--trials", 10**12, "--seed", 1,
+      "--json"), "params.trials"),
+    (("probe", "--n", 4, "--trials", 10**12, "--seed", 1, "--json"), "params.trials"),
     # sampled mode needs a sample count, and a file family its file
     (("ner", "--frame", "etf7.json", "--K", 5, "--mode", "sampled", "--seed", 1, "--json"),
      "params.samples"),
@@ -408,11 +419,15 @@ def test_nonfinite_input_file_exits_3(nonfinite_work, target, index, part, value
         "onb-n-0", "harmonic-M-below-n", "real-harmonic-M-n", "sweep-M-below-n",
         "cond-limit-0", "cond-limit-negative", "family-file-circulant", "harmonic-no-M",
         "harmonic-no-n", "etf-no-M", "etf-no-N", "onb-no-n", "samples-negative",
-        "samples-above-budget", "trials-negative", "sampled-no-samples",
+        "samples-above-budget", "trials-negative", "erasure-trials-above-budget",
+        "sweep-trials-above-budget", "rudelson-trials-above-budget",
+        "khintchine-trials-above-budget", "probe-trials-above-budget", "sampled-no-samples",
         "family-file-missing"])
 def test_schema_ranges_are_the_library_ranges(tmp_path, capsys, argv, field):
     out = tmp_path / "out.json"
+    start = time.perf_counter()
     code, result = run_cli(capsys, *argv, out)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert result["error"] == "ConfigInvalid"
     assert result["field"] == field

@@ -360,6 +360,10 @@ def test_sign_ensemble_validation():
     with pytest.raises(BudgetExceeded):
         SignEnsemble(count=21, exact=True)
     with pytest.raises(OutOfRange):
-        SignEnsemble(count=4, exact=False, trials=0)
-    with pytest.raises(OutOfRange):
         SignEnsemble(count=0, exact=True)
+    # a Monte Carlo ensemble without trials is refused where they are drawn
+    no_trials = SignEnsemble(count=4, exact=False, trials=0)
+    with pytest.raises(OutOfRange):
+        khintchine_check(np.eye(2)[None].repeat(4, axis=0), 1, no_trials)
+    with pytest.raises(OutOfRange):
+        rudelson_check(harmonic_frame(2, 4), no_trials)

@@ -31,6 +31,8 @@ import numpy as np
 import pytest
 
 from framelab import (
+    BudgetExceeded,
+    OutOfRange,
     SignEnsemble,
     circulant_dictionary,
     concentration_estimate,
@@ -119,6 +121,25 @@ def test_blocks_of_a_call_share_one_buffer_of_uniforms(block):
 
     rng.mc_values(2, rng.MASK, 3 * block + 1, 5, 0, kernel)
     assert len(addresses) == 4 and len(set(addresses)) == 1
+
+
+DRAWS = {
+    "mc_values": lambda count: rng.mc_values(1, rng.MASK, count, 8, 0, lambda u: u[:, 0]),
+    "subset_blocks": lambda count: rng.subset_blocks(1, 21, 15, count, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAWS))
+@pytest.mark.parametrize("count, error", [(0, OutOfRange), (10**12, BudgetExceeded)])
+def test_draw_counts_refused_before_any_allocation(name, count, error):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            DRAWS[name](count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_philox_key_is_apart_from_substream_state():

@@ -384,7 +384,7 @@ def test_rank_deficient_scan_raises_its_certificate_once(monkeypatch, mode, samp
 # ---------------------------------------------------------------------------
 
 def drawn(seed, N, K, samples):
-    return [tuple(s) for block in rng.subset_blocks(seed, N, K, samples)
+    return [tuple(s) for block in rng.subset_blocks(seed, N, K, samples, 0)
             for s in block.tolist()]
 
 
